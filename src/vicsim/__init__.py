@@ -35,9 +35,7 @@ from .vsystem import (
     VParams,
     alpha_beta,
     apply_channel,
-    bright_vector,
     build_liouvillian,
-    dark_bright_channel,
     dark_vector,
     excited_state,
     ground_state,

@@ -121,16 +121,13 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _validate_config(cfg: RunConfig) -> None:
-    if not cfg.gamma > 0:
-        raise ConfigError(f"gamma must be positive, got {cfg.gamma}")
-    if cfg.eta < 0:
-        raise ConfigError(f"eta must be non-negative, got {cfg.eta}")
-    if not 0.0 <= cfg.p <= 1.0:
-        raise ConfigError(f"p must lie in [0, 1], got {cfg.p}")
+    _params(cfg)  # VParams validates gamma, eta and p
     if cfg.bell not in ("psi", "phi"):
         raise ConfigError(f"bell must be psi or phi, got {cfg.bell!r}")
     if not cfg.t_max > 0:
         raise ConfigError(f"t-max must be positive, got {cfg.t_max}")
+    if cfg.t_max == math.inf:
+        raise ConfigError(f"t-max must be finite, got {cfg.t_max}")
     if cfg.steps < 2:
         raise ConfigError(f"steps must be at least 2, got {cfg.steps}")
     if cfg.method not in ("oracle", "paper"):

@@ -142,55 +142,37 @@ def _validate_grid(gamma_ts: np.ndarray) -> np.ndarray:
     return grid
 
 
-def _oracle_point(params: VParams, kind: BellKind, rho0: np.ndarray,
-                  gamma_t: float) -> tuple[float, dict[str, float]]:
+def _signed_point(params: VParams, kind: BellKind, rho0: np.ndarray,
+                  gamma_t: float, method: str) -> tuple[float, dict[str, float]]:
+    """Signed concurrence 2 max(X branches) at gamma_t, with the elements behind it.
+
+    method 'oracle' reads the evolved, projected state (checked to be
+    X-shaped). method 'paper' reads the published closed forms,
+    normalized by the projected trace, which always comes from the
+    evolution because it needs the never-printed rho44.
+    """
     t = gamma_t / params.gamma
     projected = project_to_qubits(evolve_pair(params, params, rho0, t))
-    rho = projected.rho
+    rho, trace = projected.rho, projected.pre_norm_trace
     elements = {
         "rho14_abs": float(abs(rho[0, 3])),
         "rho23_abs": float(abs(rho[1, 2])),
         "rho22": float(rho[1, 1].real),
         "rho33": float(rho[2, 2].real),
-        "pre_norm_trace": projected.pre_norm_trace,
+        "pre_norm_trace": trace,
     }
-    return concurrence_x(rho), elements
-
-
-def _published_point(params: VParams, kind: BellKind, rho0: np.ndarray,
-                     gamma_t: float) -> tuple[float, dict[str, float]]:
-    # The projected trace (it needs the never-printed rho44) always comes
-    # from the evolution; the published closed forms supply the rest.
-    t = gamma_t / params.gamma
-    projected = project_to_qubits(evolve_pair(params, params, rho0, t))
-    trace = projected.pre_norm_trace
+    if method == "oracle":
+        inner, outer = x_branch_values(_check_x_form(rho))
+        return 2.0 * max(inner, outer), elements
     pub = published_pair_elements(params, kind, t)
     if kind is BellKind.PSI:
-        rho14 = pub["rho14"] / trace
-        rho22 = pub["rho22"] / trace
-        rho33 = pub["rho33"] / trace
-        conc = 2.0 * max(0.0, rho14 - math.sqrt(max(rho22, 0.0) * max(rho33, 0.0)))
-        elements = {
-            "rho14_abs": rho14,
-            "rho23_abs": 0.0,
-            "rho22": rho22,
-            "rho33": rho33,
-            "pre_norm_trace": trace,
-        }
-    else:
-        rho23 = pub["rho23"] / trace
-        # The doubly-excited population is identically zero for this
-        # initial state, so the outer branch reduces to |rho23|.
-        conc = 2.0 * max(0.0, rho23)
-        rho = projected.rho
-        elements = {
-            "rho14_abs": 0.0,
-            "rho23_abs": rho23,
-            "rho22": float(rho[1, 1].real),
-            "rho33": float(rho[2, 2].real),
-            "pre_norm_trace": trace,
-        }
-    return conc, elements
+        rho14, rho22, rho33 = (pub[key] / trace for key in ("rho14", "rho22", "rho33"))
+        elements.update(rho14_abs=rho14, rho23_abs=0.0, rho22=rho22, rho33=rho33)
+        return 2.0 * (rho14 - math.sqrt(max(rho22, 0.0) * max(rho33, 0.0))), elements
+    # The doubly-excited population is identically zero for this initial
+    # state, so the outer branch reduces to |rho23|.
+    elements.update(rho14_abs=0.0, rho23_abs=pub["rho23"] / trace)
+    return 2.0 * elements["rho23_abs"], elements
 
 
 def concurrence_curve(
@@ -211,11 +193,10 @@ def concurrence_curve(
     if method == "paper" and params.p != 1.0:
         raise UnsupportedParams("published closed forms require p = 1")
     rho0 = bell_state(kind)
-    sample = _oracle_point if method == "oracle" else _published_point
     points = []
     for gamma_t in grid:
-        conc, elements = sample(params, kind, rho0, float(gamma_t))
-        points.append(ConcurrencePoint(float(gamma_t), conc, elements))
+        signed, elements = _signed_point(params, kind, rho0, float(gamma_t), method)
+        points.append(ConcurrencePoint(float(gamma_t), max(0.0, signed), elements))
     return ConcurrenceCurve(points, params, kind, method)
 
 
@@ -241,22 +222,6 @@ class EsdResult:
     concurrence_limit: float | None = None
 
 
-def _signed_concurrence(params: VParams, kind: BellKind, rho0: np.ndarray,
-                        gamma_t: float, method: str) -> float:
-    t = gamma_t / params.gamma
-    projected = project_to_qubits(evolve_pair(params, params, rho0, t))
-    if method == "paper":
-        pub = published_pair_elements(params, kind, t)
-        trace = projected.pre_norm_trace
-        if kind is BellKind.PSI:
-            return 2.0 * (
-                pub["rho14"] - math.sqrt(max(pub["rho22"], 0.0) * max(pub["rho33"], 0.0))
-            ) / trace
-        return 2.0 * pub["rho23"] / trace
-    inner, outer = x_branch_values(projected.rho)
-    return 2.0 * max(inner, outer)
-
-
 def esd_time(
     params: VParams,
     kind: BellKind,
@@ -280,8 +245,7 @@ def esd_time(
     if rho0 is None:
         rho0 = bell_state(kind)
         if method == "paper":
-            limit = _signed_concurrence(params, kind, rho0, horizon, method)
-            limit = max(0.0, limit)
+            limit = max(0.0, _signed_point(params, kind, rho0, horizon, method)[0])
         else:
             limit = concurrence_x(_steady_projected(params, rho0).rho)
     else:
@@ -291,9 +255,7 @@ def esd_time(
         return EsdResult("asymptotic_positive", concurrence_limit=limit)
 
     grid = np.linspace(0.0, horizon, samples)
-    signed = np.array(
-        [_signed_concurrence(params, kind, rho0, g, method) for g in grid]
-    )
+    signed = np.array([_signed_point(params, kind, rho0, g, method)[0] for g in grid])
     dead = signed <= 0.0
     if not dead.any():
         return EsdResult("asymptotic_zero")
@@ -309,7 +271,7 @@ def esd_time(
     lo, hi = grid[first - 1], grid[first]
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if _signed_concurrence(params, kind, rho0, mid, method) <= 0.0:
+        if _signed_point(params, kind, rho0, mid, method)[0] <= 0.0:
             hi = mid
         else:
             lo = mid

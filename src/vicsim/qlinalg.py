@@ -13,7 +13,6 @@ import math
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 MAX_DIM = 81
 HERMITIAN_TOL = 1e-10
@@ -104,7 +103,13 @@ def psd_sqrt(m: np.ndarray, floor: float = PSD_EIGENVALUE_FLOOR) -> np.ndarray:
 
 
 def expm(m: np.ndarray) -> np.ndarray:
-    """Matrix exponential (scaling-and-squaring, via scipy)."""
+    """Matrix exponential (scaling-and-squaring, via scipy).
+
+    Only the oracle propagators use it, so scipy is imported here rather
+    than at package import.
+    """
+    import scipy.linalg
+
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")

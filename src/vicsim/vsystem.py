@@ -14,13 +14,17 @@ vacuum-induced coherence, p = 0 switches interference off while keeping
 the level structure intact (gamma_12 ** 2 <= gamma_1 * gamma_2 holds for
 all p, so the generator stays completely positive).
 
-At p = 1 the dissipator collapses to a single decay channel: the bright
-superposition (|1> + eta|2>)/sqrt(1 + eta^2) loses population at
-2*gamma*(1 + eta^2) while the orthogonal dark superposition
-(eta|1> - |2>)/sqrt(1 + eta^2) is fully decoupled and traps population.
-That decomposition yields the closed-form propagator used as the fast
-path and as one corner of the three-way propagator cross-check
-(closed form / matrix exponential / RK4).
+Quantum jumps only feed the ground level, so one closed form propagates
+every (eta, p, omega): the channel built from the 2x2 no-jump propagator
+U(t) = exp(-i H_eff t) of the excited levels, H_eff = diag(omega1,
+omega2) - i Gamma with the damping matrix Gamma = [[gamma_1, gamma_12],
+[gamma_12, gamma_2]]. Its t -> infinity limit is the steady state.
+Gamma is singular only at p = 1 or eta = 0. At p = 1 its kernel, the
+dark superposition (eta|1> - |2>)/sqrt(1 + eta^2), is decoupled from
+the reservoir and traps population, while the orthogonal bright one
+decays at 2*gamma*(1 + eta^2). The exponentiated Liouvillian and
+fixed-step RK4 are kept as independent oracles: with the closed form
+they make the three-way propagator cross-check.
 
 Density matrices are plain complex 3x3 ndarrays; Liouvillians act on
 row-major vectorized matrices (see qlinalg).
@@ -28,22 +32,21 @@ row-major vectorized matrices (see qlinalg).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .qlinalg import dagger, expm, hermitize, tensor_product, unvec, vec
+from . import qlinalg
+from .qlinalg import dagger, hermitize, tensor_product, unvec, vec
 
 EXCITED, UMBRELLA, GROUND = 0, 1, 2
 
 # Default RK4 step: DEFAULT_STEP_SCALE / (gamma * (1 + eta^2)). Keeps the
 # accumulated local error far below the 1e-8 cross-validation budget.
 DEFAULT_STEP_SCALE = 1e-3
-# Steady-state doubling check starts at STEADY_HORIZON_SCALE / (gamma * (1 + eta^2)).
-STEADY_HORIZON_SCALE = 100.0
-STEADY_TOL = 1e-12
 
 
 class StepTooLarge(ValueError):
@@ -51,11 +54,11 @@ class StepTooLarge(ValueError):
 
 
 class UnsupportedParams(ValueError):
-    """Parameters outside the validity domain of a closed-form fast path."""
+    """Parameters outside the validity domain of the published closed forms."""
 
 
 class NoConvergence(ValueError):
-    """Time-doubling steady-state search failed to converge."""
+    """The state keeps rotating forever, so it has no long-time limit."""
 
 
 @dataclass(frozen=True)
@@ -81,6 +84,11 @@ class VParams:
             raise ValueError(f"eta must be non-negative, got {self.eta}")
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"p must lie in [0, 1], got {self.p}")
+        # rejects a non-finite gamma or eta, and an overflowing decay rate
+        if not math.isfinite(self.gamma * (1.0 + self.eta * self.eta)):
+            raise ValueError(
+                f"gamma*(1 + eta^2) must be finite, got gamma = {self.gamma}, eta = {self.eta}"
+            )
 
     @property
     def gamma1(self) -> float:
@@ -136,11 +144,6 @@ def superposition_state() -> np.ndarray:
 def dark_vector(eta: float) -> np.ndarray:
     """Decay-free superposition (eta|1> - |2>)/sqrt(1 + eta^2)."""
     return np.array([eta, -1.0, 0.0], dtype=complex) / math.sqrt(1.0 + eta**2)
-
-
-def bright_vector(eta: float) -> np.ndarray:
-    """Decaying superposition (|1> + eta|2>)/sqrt(1 + eta^2)."""
-    return np.array([1.0, eta, 0.0], dtype=complex) / math.sqrt(1.0 + eta**2)
 
 
 def hamiltonian(params: VParams) -> np.ndarray:
@@ -233,74 +236,94 @@ def propagate_spectral(params: VParams, rho0: np.ndarray, t: float) -> np.ndarra
     """Evolve a 3x3 state for time t via the exponentiated Liouvillian."""
     if t < 0:
         raise ValueError(f"t must be non-negative, got {t}")
-    prop = expm(build_liouvillian(params) * t)
+    prop = qlinalg.expm(build_liouvillian(params) * t)
     return hermitize(unvec(prop @ vec(rho0), 3))
 
 
-def _bare_from_channel_basis(eta: float) -> np.ndarray:
-    """Unitary with columns (bright, dark, ground) in the bare basis."""
-    u = np.zeros((3, 3), dtype=complex)
-    u[:, 0] = bright_vector(eta)
-    u[:, 1] = dark_vector(eta)
-    u[:, 2] = basis_ket(GROUND)
-    return u
+# Flat positions S.flat[9*row + col] of the 9x9 channel entries that the
+# no-jump propagator U fills, in the order _channel_from_no_jump lists them.
+# Excited levels e = {0, 1}; row-major vec puts rho[i, j] at 3*i + j.
+_EE = (0, 1, 3, 4)
+_CHANNEL_SLOTS = np.array(
+    [9 * r + c for r in _EE for c in _EE]                 # rho_ee -> U rho_ee U^+
+    + [9 * r + c for r in (2, 5) for c in (2, 5)]         # rho_e3 -> U rho_e3
+    + [9 * r + c for r in (6, 7) for c in (6, 7)]         # rho_3e -> rho_3e U^+
+    + [9 * 8 + c for c in _EE]                            # lost excited weight -> rho_33
+)
+_EYE2 = np.eye(2)
+# Below |delta^2| = 1e-2 the 2x2 exponential uses its power series in
+# delta^2: there (exp(mu + delta) - exp(mu - delta)) / delta would lose
+# digits to cancellation, while the truncated series is good to ~1e-17.
+_SERIES_BELOW = 1e-2
 
 
-def _channel_from_survival(eta: float, x: float, phase: complex) -> np.ndarray:
-    """Assemble the 9x9 propagator from bright survival x = exp(-Gamma t).
+def _channel_from_no_jump(u: np.ndarray) -> np.ndarray:
+    """Assemble the 9x9 channel from the 2x2 no-jump propagator U.
 
-    In the (bright, dark, ground) basis the action is diagonal except for
-    the population routed from bright to ground; ``phase`` carries the
-    free rotation exp(-i omega t) of excited-ground coherences.
+    Jumps only feed the ground level, so rho_ee -> U rho_ee U^+,
+    rho_e3 -> U rho_e3 and rho_33 -> rho_33 + tr rho_ee - tr(U rho_ee U^+).
     """
+    uc = u.conj()
+    values = np.concatenate((
+        (u[:, None, :, None] * uc[None, :, None, :]).reshape(-1),
+        u.reshape(-1),
+        uc.reshape(-1),
+        (_EYE2 - u.T @ uc).reshape(-1),
+    ))
     s = np.zeros((9, 9), dtype=complex)
-    factors = {
-        (0, 0): x * x,                 # bright population
-        (0, 1): x, (1, 0): x,          # bright-dark coherences
-        (0, 2): x * phase, (2, 0): x * np.conj(phase),
-        (1, 1): 1.0,                   # dark population is trapped
-        (1, 2): phase, (2, 1): np.conj(phase),
-        (2, 2): 1.0,
-    }
-    for (i, j), c in factors.items():
-        s[3 * i + j, 3 * i + j] = c
-    s[8, 0] = 1.0 - x * x              # lost bright population lands on ground
-    u = _bare_from_channel_basis(eta)
-    return tensor_product(u, u.conj()) @ s @ tensor_product(dagger(u), u.T)
+    s.flat[_CHANNEL_SLOTS] = values
+    s[8, 8] = 1.0
+    return s
 
 
-def dark_bright_channel(params: VParams, t: float) -> np.ndarray:
-    """Closed-form 9x9 propagator for maximal interference.
+def _no_jump_propagator(params: VParams, t: float) -> np.ndarray:
+    """U(t) = exp(-i H_eff t) on the excited levels, H_eff = diag(omega) - i Gamma.
 
-    Valid only for p = 1 with degenerate transition frequencies; raises
-    UnsupportedParams otherwise. Trace-preserving and completely
-    positive by construction.
+    Gamma = [[gamma_1, gamma_12], [gamma_12, gamma_2]] is the damping
+    matrix of the excited block.
     """
-    if params.p != 1.0:
-        raise UnsupportedParams(f"closed-form channel requires p = 1, got p = {params.p}")
-    if params.omega1 != params.omega2:
-        raise UnsupportedParams(
-            "closed-form channel requires degenerate transition frequencies"
-        )
-    if t < 0:
-        raise ValueError(f"t must be non-negative, got {t}")
-    x = math.exp(-params.bright_rate * t)
-    phase = np.exp(-1j * params.omega1 * t)
-    return _channel_from_survival(params.eta, x, phase)
+    g1, g2, g12, p = params.gamma1, params.gamma2, params.gamma12, params.p
+    if params.omega1 == params.omega2:
+        # U = exp(-i omega t) exp(-Gamma t) from the eigensystem of the real
+        # symmetric Gamma. The slow rate is det(Gamma) / fast with
+        # det(Gamma) = gamma^2 eta^2 (1 - p)(1 + p), so p just below 1 keeps
+        # its small rate instead of a rounding difference of the large ones.
+        half_gap = 0.5 * (g1 - g2)
+        fast = 0.5 * (g1 + g2) + math.hypot(half_gap, g12)
+        slow = g2 * (1.0 - p) * (1.0 + p) * (g1 / fast)
+        theta = 0.5 * math.atan2(g12, half_gap)  # (cos, sin) is the fast direction
+        c, s = math.cos(theta), math.sin(theta)
+        xf, xs = math.exp(-fast * t), math.exp(-slow * t)
+        off = c * s * (xf - xs)
+        u = np.array([[c * c * xf + s * s * xs, off], [off, s * s * xf + c * c * xs]],
+                     dtype=complex)
+        if params.omega1 != 0.0:
+            u *= cmath.exp(-1j * params.omega1 * t)
+        return u
+    # Detuned levels: exp(M) = exp(mu) [cosh(delta) 1 + sinh(delta)/delta (M - mu 1)]
+    # for M = -i H_eff t with eigenvalues mu +- delta; cosh and sinhc below
+    # include the factor exp(mu).
+    m00 = -t * complex(g1, params.omega1)
+    m11 = -t * complex(g2, params.omega2)
+    m01 = -t * g12
+    mu, d = 0.5 * (m00 + m11), 0.5 * (m00 - m11)
+    q = d * d + m01 * m01  # delta^2
+    if abs(q) < _SERIES_BELOW:  # near the exceptional point delta = 0
+        scale = cmath.exp(mu)
+        cosh = scale * (1 + q / 2 * (1 + q / 12 * (1 + q / 30 * (1 + q / 56))))
+        sinhc = scale * (1 + q / 6 * (1 + q / 20 * (1 + q / 42 * (1 + q / 72))))
+    else:
+        delta = cmath.sqrt(q)
+        up, down = cmath.exp(mu + delta), cmath.exp(mu - delta)
+        cosh, sinhc = 0.5 * (up + down), 0.5 * (up - down) / delta
+    return np.array([[cosh + sinhc * d, sinhc * m01], [sinhc * m01, cosh - sinhc * d]])
 
 
 def propagate_channel(params: VParams, t: float) -> np.ndarray:
-    """9x9 propagator vec(rho0) -> vec(rho(t)).
-
-    Uses the closed-form dark/bright decomposition when it applies
-    (p = 1, degenerate frequencies) and falls back to the exponentiated
-    Liouvillian otherwise.
-    """
-    if params.p == 1.0 and params.omega1 == params.omega2:
-        return dark_bright_channel(params, t)
-    if t < 0:
-        raise ValueError(f"t must be non-negative, got {t}")
-    return expm(build_liouvillian(params) * t)
+    """9x9 propagator vec(rho0) -> vec(rho(t)), closed form for every (eta, p, omega)."""
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"t must be finite and non-negative, got {t}")
+    return _channel_from_no_jump(_no_jump_propagator(params, t))
 
 
 def apply_channel(channel: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -309,56 +332,51 @@ def apply_channel(channel: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return hermitize(unvec(channel @ vec(rho), dim))
 
 
+def _limit_channel(params: VParams, rho0: np.ndarray | None = None) -> np.ndarray:
+    """The channel at t -> infinity: the no-jump assembly with U(infinity).
+
+    U(infinity) projects onto the excited direction that never decays:
+    the kernel of Gamma, when Gamma is singular (eta = 0 or maximal
+    interference) and the kernel is also an eigenvector of the level
+    frequencies. Both are decided from the parameters, not from a
+    numerically computed eigenvalue. A survivor
+    with nonzero frequency keeps rotating against the ground level, so
+    the limit does not exist (NoConvergence): for the channel always,
+    for a state only when it carries coherence between the survivor and
+    the ground level.
+    """
+    u = np.zeros((2, 2), dtype=complex)
+    # det(Gamma) = gamma^2 eta^2 (1 - p)(1 + p) is zero exactly when eta (1 - p)
+    # is; the kernel (eta, -1) is an eigenvector of diag(omega1, omega2)
+    # exactly when eta = 0 or omega1 = omega2.
+    singular = params.eta * (1.0 - params.p) == 0.0
+    if singular and (params.eta == 0.0 or params.omega1 == params.omega2):
+        kernel = dark_vector(params.eta)[:2]
+        omega = params.omega2 if params.eta == 0.0 else params.omega1
+        if omega != 0.0 and (rho0 is None or kernel.conj() @ rho0[:2, GROUND] != 0.0):
+            raise NoConvergence(
+                f"a decay-free level keeps rotating at omega = {omega}; "
+                "there is no long-time limit"
+            )
+        u = np.outer(kernel, kernel.conj())
+    return _channel_from_no_jump(u)
+
+
 def steady_channel(params: VParams) -> np.ndarray:
     """Infinite-time limit of the propagator.
 
-    For p = 1 this is the analytic dark-state projection (a surviving
-    dark-ground coherence is reported at its rotating-frame value). For
-    p < 1 the limit is taken by exponentiating to a large horizon with a
-    time-doubling convergence check.
+    Raises NoConvergence when a decay-free excited direction keeps
+    rotating against the ground level.
     """
-    if params.p == 1.0:
-        return _channel_from_survival(params.eta, 0.0, 1.0)
-    horizon = STEADY_HORIZON_SCALE / params.bright_rate
-    s1 = expm(build_liouvillian(params) * horizon)
-    s2 = s1 @ s1
-    if np.max(np.abs(s2 - s1)) > STEADY_TOL:
-        raise NoConvergence(
-            f"propagator not stationary after t = {horizon:.3e}; "
-            "a non-decaying component survives"
-        )
-    return s2
+    return _limit_channel(params)
 
 
 def steady_state(params: VParams, rho0: np.ndarray) -> np.ndarray:
-    """Long-time limit of rho0 under the master equation.
-
-    p = 1: the dark-state population <D|rho0|D> and the dark-ground
-    coherence survive, everything else ends on the ground level.
-    p < 1: computed from the propagator at a large horizon, with a
-    doubling check (raises NoConvergence if rho(T) != rho(2T)).
-    """
+    """Long-time limit of rho0: its weight on the decay-free excited
+    direction (if any) and that direction's coherence with the ground
+    level survive, everything else ends on the ground level."""
     rho0 = np.asarray(rho0, dtype=complex)
-    if params.p == 1.0:
-        d = dark_vector(params.eta)
-        g = basis_ket(GROUND)
-        pop_dark = complex(d.conj() @ rho0 @ d).real
-        coh = complex(d.conj() @ rho0 @ g)
-        out = pop_dark * np.outer(d, d.conj())
-        out += coh * np.outer(d, g.conj())
-        out += np.conj(coh) * np.outer(g, d.conj())
-        out += (np.trace(rho0).real - pop_dark) * np.outer(g, g.conj())
-        return out
-    horizon = STEADY_HORIZON_SCALE / params.bright_rate
-    prop = expm(build_liouvillian(params) * horizon)
-    r1 = prop @ vec(rho0)
-    r2 = prop @ r1
-    if np.max(np.abs(r2 - r1)) > STEADY_TOL:
-        raise NoConvergence(
-            f"state not stationary after t = {horizon:.3e}; "
-            "a non-decaying component survives"
-        )
-    return hermitize(unvec(r2, 3))
+    return apply_channel(_limit_channel(params, rho0), rho0)
 
 
 def alpha_beta(rho0: np.ndarray) -> tuple[float, float]:

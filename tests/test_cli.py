@@ -266,6 +266,28 @@ def test_esd_product_state_hook(capsys):
     assert report["gamma_t_death"] == 0.0
 
 
+DOMAIN_P = ("0", "0.25", "0.5", "0.75", "0.99", "0.999999999", "1")
+DOMAIN_ETA = ("0", "0.5", "1", "2", "3")
+
+
+@pytest.mark.parametrize("bell", ["psi", "phi"])
+def test_steady_and_esd_answer_over_the_domain(capsys, bell):
+    # below maximal interference (and at eta = 0) every excitation ends on
+    # the ground level however slow the decay, so nothing stays entangled
+    for p in DOMAIN_P:
+        for eta in DOMAIN_ETA:
+            common = ("--p", p, "--eta", eta, "--bell", bell)
+            code, out, err = run_cli(capsys, "steady", *common)
+            assert code == 0, (common, err)
+            conc = json.loads(out)["concurrence_infinity"]
+            code, out, err = run_cli(capsys, "esd", *common)
+            assert code == 0, (common, err)
+            kind = json.loads(out)["kind"]
+            if float(p) < 1.0 and float(eta) > 0.0:
+                assert conc == 0.0, common
+                assert kind != "asymptotic_positive", common
+
+
 # --------------------------------------------------------------------- config
 
 def test_config_file_and_flag_precedence(tmp_path, capsys):
@@ -300,6 +322,17 @@ def test_config_file_rejects_unknown_key(tmp_path, capsys):
         ("curve", "--format", "json"),
         ("steady", "--format", "csv"),
         ("curve", "--method", "paper", "--p", "0.5"),
+        ("curve", "--eta", "nan"),
+        ("curve", "--eta", "inf"),
+        ("curve", "--gamma", "inf"),
+        ("curve", "--gamma", "nan"),
+        ("curve", "--p", "nan"),
+        ("curve", "--t-max", "inf"),
+        ("curve", "--t-max", "nan"),
+        ("curve", "--p", "1", "--eta", "1e200"),
+        ("esd", "--eta", "nan"),
+        ("steady", "--eta", "nan"),
+        ("single", "--gamma", "1e300", "--eta", "1e10"),
     ],
 )
 def test_invalid_config_single_line_diagnostic(capsys, args):
@@ -321,3 +354,13 @@ def test_module_entry_point():
         capture_output=True, text=True,
     )
     assert bad.returncode == 2
+
+
+def test_cli_import_leaves_scipy_out():
+    # the runtime is numpy-only; scipy serves only the oracle cross-checks
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, vicsim.cli; print('scipy' in sys.modules)"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -7,12 +7,10 @@ from vicsim.qlinalg import vec
 from vicsim.vsystem import (
     NoConvergence,
     StepTooLarge,
-    UnsupportedParams,
     VParams,
     alpha_beta,
     apply_channel,
     build_liouvillian,
-    dark_bright_channel,
     dark_vector,
     excited_state,
     ground_state,
@@ -45,6 +43,10 @@ def test_vparams_validation():
         VParams(eta=-0.1)
     with pytest.raises(ValueError):
         VParams(p=1.5)
+    for bad in ({"gamma": math.inf}, {"gamma": math.nan}, {"eta": math.inf},
+                {"eta": math.nan}, {"p": math.nan}, {"eta": 1e200}):
+        with pytest.raises(ValueError):
+            VParams(**bad)
 
 
 def test_derived_rates_and_complete_positivity():
@@ -155,19 +157,44 @@ def test_channel_coherence_retention_coefficient():
     assert abs(out[0, 2] - 0.5 * coef) <= 1e-12
 
 
-def test_channel_rejects_partial_interference():
-    with pytest.raises(UnsupportedParams):
-        dark_bright_channel(VParams(p=0.5), 1.0)
-    with pytest.raises(UnsupportedParams):
-        dark_bright_channel(VParams(omega1=0.1, omega2=0.0), 1.0)
-
-
 def test_channel_fallback_matches_spectral():
-    # p < 1 goes through the exponentiated Liouvillian
-    params = VParams(eta=0.9, p=0.3)
+    # the no-jump closed form against the exponentiated Liouvillian, over
+    # partial and maximal interference, eta = 0 and detuned levels
     rho0 = mixed_full_support()
-    out = apply_channel(propagate_channel(params, 1.2), rho0)
-    assert max_abs(out - propagate_spectral(params, rho0, 1.2)) <= 1e-12
+    for p in (0.0, 0.3, 1.0 - 1e-9, 1.0):
+        for eta in (0.0, 0.9, 2.5):
+            for omega1, omega2 in ((0.0, 0.0), (0.7, -0.4)):
+                params = VParams(eta=eta, p=p, omega1=omega1, omega2=omega2)
+                out = apply_channel(propagate_channel(params, 1.2), rho0)
+                assert max_abs(out - propagate_spectral(params, rho0, 1.2)) <= 1e-12
+
+
+def test_channel_keeps_slow_rate_just_below_full_interference():
+    # at p = 1 - 1e-9 the slow excited direction decays at a rate ~1e-9,
+    # which a difference of the O(1) rates would lose to rounding; its
+    # population after gamma*t = 1e9 is exp(-2 * rate * gamma*t)
+    params = VParams(eta=2.0, p=1.0 - 1e-9)
+    gamma_mat = np.array([[params.gamma1, params.gamma12], [params.gamma12, params.gamma2]])
+    tr = params.gamma1 + params.gamma2
+    det = params.gamma1 * params.gamma2 * (1.0 - params.p) * (1.0 + params.p)
+    rate = 2.0 * det / (tr + math.sqrt(tr * tr - 4.0 * det))  # smaller root, no cancellation
+    slow = np.linalg.eigh(gamma_mat)[1][:, 0]
+    rho0 = np.zeros((3, 3), dtype=complex)
+    rho0[:2, :2] = np.outer(slow, slow)
+    rho = apply_channel(propagate_channel(params, 1e9), rho0)
+    expected = math.exp(-2.0 * rate * 1e9)
+    assert abs((slow @ rho[:2, :2] @ slow).real - expected) <= 1e-10 * expected
+
+
+def test_channel_at_exceptional_point_matches_spectral():
+    # eta = 1 and |omega1 - omega2| = 2 gamma_12 make H_eff defective; the
+    # 2x2 exponential takes its series branch there and just beside it
+    rho0 = mixed_full_support()
+    for omega1 in (0.5, 0.5 + 1e-6, 0.55):
+        params = VParams(eta=1.0, p=0.5, omega1=omega1, omega2=-0.5)
+        for t in (0.3, 2.0):
+            out = apply_channel(propagate_channel(params, t), rho0)
+            assert max_abs(out - propagate_spectral(params, rho0, t)) <= 1e-12
 
 
 def test_channel_agrees_with_spectral_at_full_interference():
@@ -343,6 +370,16 @@ def test_steady_state_partial_interference_matches_channel_limit():
     params = VParams(eta=1.1, p=0.4)
     out = steady_state(params, mixed_full_support())
     assert max_abs(out - ground_state()) <= 1e-10
+
+
+def test_steady_state_detuned_full_interference_matches_long_time_evolution():
+    # detuning couples the dark superposition to the bright one, so at
+    # p = 1 nothing survives: the limit is the ground level
+    params = VParams(eta=1.0, p=1.0, omega1=0.5, omega2=-0.5)
+    rho0 = mixed_full_support()
+    out = steady_state(params, rho0)
+    assert max_abs(out - propagate_spectral(params, rho0, 300.0)) <= 1e-12
+    assert max_abs(out - ground_state()) <= 1e-12
 
 
 def test_steady_state_no_convergence_for_undamped_rotation():
