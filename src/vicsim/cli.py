@@ -407,10 +407,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER: argparse.ArgumentParser | None = None
+
+
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and reused by every later call."""
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = _build_parser()
+    return _PARSER
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse reports usage errors as exit 2
         return int(exc.code or 0)
     try:

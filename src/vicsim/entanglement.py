@@ -234,25 +234,43 @@ def esd_time(
 ) -> EsdResult:
     """Locate entanglement sudden death, if any, on gamma_t in [0, horizon].
 
-    True finite-time death means the signed X-branch argument crosses
-    zero and the (clamped) concurrence stays below ``threshold`` through
-    the horizon; a crossing that bounces back above the threshold is
-    treated as numerical zero-touching and the search continues after
-    the revival. A limit above 10 * threshold classifies as
-    asymptotically positive, otherwise a curve that is still positive at
-    the horizon decays asymptotically to zero.
+    A long-time concurrence above 10 * threshold classifies as
+    asymptotically positive. A Bell start under the oracle method is
+    answered from that limit alone: it never dies in finite time (see
+    the derivation below), so it is otherwise asymptotically zero.
+
+    The published forms (method 'paper') and an explicit ``rho0`` are
+    scanned on ``samples`` points. True finite-time death means the
+    signed X-branch argument crosses zero, the (clamped) concurrence
+    stays below ``threshold`` through the horizon, and some later sample
+    is resolved below -threshold; a crossing that bounces back above the
+    threshold is treated as numerical zero-touching and the search
+    continues after the revival. A curve that never resolves a death
+    decays asymptotically to zero.
     """
-    if rho0 is None:
+    bell_start = rho0 is None
+    if bell_start:
         rho0 = bell_state(kind)
-        if method == "paper":
-            limit = max(0.0, _signed_point(params, kind, rho0, horizon, method)[0])
-        else:
-            limit = concurrence_x(_steady_projected(params, rho0).rho)
     else:
         method = "oracle"  # published forms cover only the Bell starts
+    if method == "paper":
+        limit = max(0.0, _signed_point(params, kind, rho0, horizon, method)[0])
+    else:
         limit = concurrence_x(_steady_projected(params, rho0).rho)
     if limit > 10.0 * threshold:
         return EsdResult("asymptotic_positive", concurrence_limit=limit)
+    if bell_start and method == "oracle":
+        # Two identical atoms under Lambda ox Lambda (Bellomo, Lo Franco and
+        # Compagno, PRL 99, 160502 (2007)): with U the no-jump propagator and
+        # P_e = |U11|^2 + |U21|^2 the excited population of an atom started
+        # in |1>, the live branch before normalisation is
+        #   psi: |rho14| - sqrt(rho22 rho33) = |U11|^2/2 - |U11|^2 (1 - P_e)/2
+        #                                    = |U11|^2 P_e / 2,
+        #   phi: |rho23| - sqrt(rho11 rho44) = |U11|^2 / 2   (rho11 == 0).
+        # Neither is a difference, and U11 is analytic in t with U11(0) = 1,
+        # so its zeros are isolated instants: no finite-time death exists at
+        # any (eta, p, omega), and a scan would only find rounding noise.
+        return EsdResult("asymptotic_zero")
 
     grid = np.linspace(0.0, horizon, samples)
     signed = np.array([_signed_point(params, kind, rho0, g, method)[0] for g in grid])
@@ -266,6 +284,9 @@ def esd_time(
     if candidates.size == 0:
         return EsdResult("asymptotic_zero")
     first = start + int(candidates[0])
+    # As a revival must rise above threshold, a death must fall below it.
+    if not (signed[first:] < -threshold).any():
+        return EsdResult("asymptotic_zero")
     if first == 0:
         return EsdResult("vanishes_at", gamma_t_death=0.0)
     lo, hi = grid[first - 1], grid[first]

@@ -283,6 +283,8 @@ def test_steady_and_esd_answer_over_the_domain(capsys, bell):
             code, out, err = run_cli(capsys, "esd", *common)
             assert code == 0, (common, err)
             kind = json.loads(out)["kind"]
+            # a Bell start never dies in finite time (Yu-Eberly at eta = 0)
+            assert kind != "vanishes_at", common
             if float(p) < 1.0 and float(eta) > 0.0:
                 assert conc == 0.0, common
                 assert kind != "asymptotic_positive", common
@@ -354,6 +356,27 @@ def test_module_entry_point():
         capture_output=True, text=True,
     )
     assert bad.returncode == 2
+
+
+def test_parser_reused_across_calls_matches_fresh_processes(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("eta = 0.5\nbell = phi\n")
+    runs = [
+        ("steady", "--eta", "2", "--p", "0.5"),
+        ("steady", "--p", "1.5"),
+        ("steady", "--bell", "omega"),
+        ("steady", "--config", str(config)),
+        ("steady", "--eta", "2", "--p", "0.5"),
+    ]
+    results = [run_cli(capsys, *args) for args in runs]
+    assert results[0] == results[-1]
+    for (code, out, err), bad in zip(results[1:3], runs[1:3]):
+        assert code == 2 and out == "", bad
+        assert err.startswith("error:") and err.count("\n") == 1, bad
+    for args, result in zip(runs[:-1], results):
+        proc = subprocess.run([sys.executable, "-m", "vicsim", *args],
+                              capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == result, args
 
 
 def test_cli_import_leaves_scipy_out():

@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vicsim.bipartite import BellKind, bell_state, evolve_pair, product_state, project_to_qubits
 from vicsim.entanglement import (
     EsdResult,
     NotAState,
     NotXForm,
+    _signed_point,
     concurrence_curve,
     concurrence_wootters,
     concurrence_x,
@@ -15,7 +17,7 @@ from vicsim.entanglement import (
     steady_concurrence,
     x_branch_values,
 )
-from vicsim.vsystem import UnsupportedParams, VParams
+from vicsim.vsystem import UnsupportedParams, VParams, propagate_channel
 from util import random_density, random_unitary, random_x_state
 
 SQRT2 = math.sqrt(2.0)
@@ -207,3 +209,51 @@ def test_esd_finite_death_matches_closed_form():
     result = esd_time(VParams(eta=1.0, p=0.0), BellKind.PSI, rho0=rho0)
     assert result.kind == "vanishes_at"
     assert result.gamma_t_death == pytest.approx(0.5 * math.log(2.0), abs=1e-8)
+
+
+@pytest.mark.parametrize(
+    "kind, eta, p",
+    [
+        (BellKind.PSI, 0.0, 0.0),
+        (BellKind.PSI, 0.9, 0.35),
+        (BellKind.PSI, 2.0, 0.5),
+        (BellKind.PHI, 1.0, 0.2),
+        (BellKind.PSI, 0.0, 1.0),
+        (BellKind.PSI, SQRT2, 1.0),
+    ],
+)
+def test_esd_bell_answer_matches_the_scan(kind, eta, p):
+    # an explicit rho0 takes the sampled scan, the Bell start its exact limit
+    params = VParams(eta=eta, p=p)
+    assert esd_time(params, kind, rho0=bell_state(kind)) == esd_time(params, kind)
+
+
+@pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
+def test_psi_without_umbrella_follows_yu_eberly(p):
+    # eta = 0 is two-level amplitude damping of (|11> + |33>)/sqrt(2), whose
+    # concurrence exp(-4 gamma t) vanishes only asymptotically (Yu and Eberly,
+    # PRL 93, 140404 (2004))
+    params = VParams(eta=0.0, p=p)
+    curve = concurrence_curve(params, BellKind.PSI, np.linspace(0.0, 50.0, 501))
+    for pt in curve.points:
+        assert abs(pt.concurrence - math.exp(-4.0 * pt.gamma_t)) <= 1e-12
+    assert esd_time(params, BellKind.PSI) == EsdResult("asymptotic_zero")
+
+
+_P = st.one_of(st.sampled_from([0.0, 1.0 - 1e-9, 1.0]), st.floats(0.0, 1.0))
+_OMEGA = st.one_of(st.just(0.0), st.floats(-3.0, 3.0))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(kind=st.sampled_from(list(BellKind)), eta=st.floats(0.0, 5.0), p=_P,
+       omega1=_OMEGA, omega2=_OMEGA, gamma_t=st.floats(0.0, 30.0))
+def test_bell_branch_is_a_product_of_single_atom_factors(kind, eta, p, omega1, omega2, gamma_t):
+    # psi: |U11|^2 P_e / tr, phi: |U11|^2 / tr, with U the no-jump propagator
+    params = VParams(eta=eta, p=p, omega1=omega1, omega2=omega2)
+    signed, elements = _signed_point(params, kind, bell_state(kind), gamma_t, "oracle")
+    chan = propagate_channel(params, gamma_t / params.gamma).real
+    u11_sq, excited = chan[0, 0], chan[0, 0] + chan[4, 0]
+    factor = u11_sq * excited if kind is BellKind.PSI else u11_sq
+    exact = factor / elements["pre_norm_trace"]
+    assert exact >= 0.0
+    assert abs(signed - exact) <= 1e-12

@@ -12,6 +12,7 @@ from vicsim.vsystem import (
     apply_channel,
     build_liouvillian,
     dark_vector,
+    default_step,
     excited_state,
     ground_state,
     propagate_channel,
@@ -19,6 +20,7 @@ from vicsim.vsystem import (
     propagate_spectral,
     published_rho11_infinity,
     published_single_atom,
+    rk4_evolve,
     steady_state,
     superposition_state,
 )
@@ -108,6 +110,24 @@ def test_rk4_matches_channel_closed_form():
     out = propagate_rk4(params, excited_state(), 1.0)
     ref = apply_channel(propagate_channel(params, 1.0), excited_state())
     assert max_abs(out - ref) <= 1e-8
+
+
+def test_rk4_power_matches_stepwise_loop():
+    # P^n by repeated squaring against n explicit RK4 stages, same h = t/n
+    params = VParams(eta=1.3, p=0.6)
+    liou = build_liouvillian(params)
+    rho0 = mixed_full_support()
+    t, dt = 2.0, default_step(params)
+    steps = math.ceil(t / dt)
+    h = t / steps
+    x = rho0.reshape(-1)
+    for _ in range(steps):
+        k1 = liou @ x
+        k2 = liou @ (x + 0.5 * h * k1)
+        k3 = liou @ (x + 0.5 * h * k2)
+        k4 = liou @ (x + h * k3)
+        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    assert max_abs(rk4_evolve(liou, rho0, t, dt) - x.reshape(3, 3)) <= 1e-12
 
 
 def test_rk4_step_guard():
