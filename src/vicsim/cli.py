@@ -345,6 +345,8 @@ def run_esd(cfg: RunConfig) -> int:
         raise ConfigError("method paper requires p = 1")
     rho0 = None
     if cfg.initial == "product":
+        if cfg.method != "oracle":
+            raise ConfigError("esd --initial product supports the oracle method only")
         rho0 = product_state(0, 0)  # separable |1A 1B>: already dead at t = 0
     elif cfg.initial is not None:
         raise ConfigError(f"esd accepts only initial=product, got {cfg.initial!r}")

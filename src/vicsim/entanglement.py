@@ -14,6 +14,7 @@ authority the fast path is checked against.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +27,7 @@ from .bipartite import (
     published_pair_elements,
     steady_pair,
 )
-from .qlinalg import hermitian_eig, hermiticity_defect, hermitize, psd_sqrt
+from .qlinalg import hermiticity_defect, hermitize, psd_sqrt
 from .vsystem import UnsupportedParams, VParams
 
 _SIGMA_Y = np.array([[0.0, -1j], [1j, 0.0]])
@@ -67,22 +68,20 @@ def _check_state(rho: np.ndarray) -> np.ndarray:
     return rho
 
 
-def spin_flip(rho: np.ndarray) -> np.ndarray:
-    """(sigma_y ox sigma_y) conj(rho) (sigma_y ox sigma_y)."""
-    return SPIN_FLIP @ rho.conj() @ SPIN_FLIP
-
-
 def concurrence_wootters(rho: np.ndarray) -> float:
     """General two-qubit concurrence via the Hermitian spin-flip form.
 
     C = max{0, l1 - l2 - l3 - l4} with l_k the descending square roots
-    of the eigenvalues of sqrt(rho) rho_tilde sqrt(rho).
+    of the eigenvalues of sqrt(rho) rho_tilde sqrt(rho), where rho_tilde =
+    Y conj(rho) Y is the spin flip with Y = sigma_y ox sigma_y. That
+    matrix is A A^+ with A = sqrt(rho) Y conj(sqrt(rho)), so the l_k are
+    read as the singular values of A: square roots of rounding-level
+    eigenvalues of A A^+ would put ~1e-8 into l2..l4 of a nearly pure
+    state.
     """
     rho = _check_state(rho)
     root = psd_sqrt(rho)
-    m = hermitize(root @ spin_flip(rho) @ root)
-    w = hermitian_eig(m).eigenvalues
-    lam = np.sqrt(np.clip(w, 0.0, None))[::-1]
+    lam = np.linalg.svd(root @ SPIN_FLIP @ root.conj(), compute_uv=False)
     return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
 
 
@@ -164,15 +163,34 @@ def _signed_point(params: VParams, kind: BellKind, rho0: np.ndarray,
     if method == "oracle":
         inner, outer = x_branch_values(_check_x_form(rho))
         return 2.0 * max(inner, outer), elements
-    pub = published_pair_elements(params, kind, t)
+    signed, published = _published_branch(published_pair_elements(params, kind, t), kind, trace)
+    elements.update(published)
+    return signed, elements
+
+
+def _published_branch(pub: dict[str, float], kind: BellKind,
+                      trace: float) -> tuple[float, dict[str, float]]:
+    """Signed concurrence of the published elements divided by ``trace``.
+
+    Returns the value and the divided elements it was read from. The
+    trace is positive, so ``trace = 1`` (the unnormalised elements) gives
+    a value of the same sign.
+    """
     if kind is BellKind.PSI:
         rho14, rho22, rho33 = (pub[key] / trace for key in ("rho14", "rho22", "rho33"))
-        elements.update(rho14_abs=rho14, rho23_abs=0.0, rho22=rho22, rho33=rho33)
+        elements = {"rho14_abs": rho14, "rho23_abs": 0.0, "rho22": rho22, "rho33": rho33}
         return 2.0 * (rho14 - math.sqrt(max(rho22, 0.0) * max(rho33, 0.0))), elements
     # The doubly-excited population is identically zero for this initial
     # state, so the outer branch reduces to |rho23|.
-    elements.update(rho14_abs=0.0, rho23_abs=pub["rho23"] / trace)
-    return 2.0 * elements["rho23_abs"], elements
+    rho23 = pub["rho23"] / trace
+    return 2.0 * rho23, {"rho14_abs": 0.0, "rho23_abs": rho23}
+
+
+def _check_method(params: VParams, method: str) -> None:
+    if method not in ("oracle", "paper"):
+        raise ValueError(f"unknown method {method!r}")
+    if method == "paper" and params.p != 1.0:
+        raise UnsupportedParams("published closed forms require p = 1")
 
 
 def concurrence_curve(
@@ -188,10 +206,7 @@ def concurrence_curve(
     against the evolved trace.
     """
     grid = _validate_grid(gamma_ts)
-    if method not in ("oracle", "paper"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "paper" and params.p != 1.0:
-        raise UnsupportedParams("published closed forms require p = 1")
+    _check_method(params, method)
     rho0 = bell_state(kind)
     points = []
     for gamma_t in grid:
@@ -239,20 +254,21 @@ def esd_time(
     answered from that limit alone: it never dies in finite time (see
     the derivation below), so it is otherwise asymptotically zero.
 
-    The published forms (method 'paper') and an explicit ``rho0`` are
-    scanned on ``samples`` points. True finite-time death means the
-    signed X-branch argument crosses zero, the (clamped) concurrence
-    stays below ``threshold`` through the horizon, and some later sample
-    is resolved below -threshold; a crossing that bounces back above the
-    threshold is treated as numerical zero-touching and the search
-    continues after the revival. A curve that never resolves a death
-    decays asymptotically to zero.
+    Otherwise the signed X-branch argument is scanned on ``samples``
+    points (see ``_scan_for_death``). A Bell start under the published
+    forms (method 'paper', p = 1 only) reads each sample from the
+    published elements alone, with no pair evolution; only its limit
+    evolves the pair once, at the horizon, for the normalising trace.
+    The scan of the evolved pair serves an explicit ``rho0``, which the
+    published forms do not cover, so it takes method 'oracle' only.
     """
+    _check_method(params, method)
     bell_start = rho0 is None
+    if method == "paper" and not bell_start:
+        raise ValueError("published forms cover only the Bell starts: "
+                         "an explicit rho0 supports the oracle method only")
     if bell_start:
         rho0 = bell_state(kind)
-    else:
-        method = "oracle"  # published forms cover only the Bell starts
     if method == "paper":
         limit = max(0.0, _signed_point(params, kind, rho0, horizon, method)[0])
     else:
@@ -271,9 +287,33 @@ def esd_time(
         # so its zeros are isolated instants: no finite-time death exists at
         # any (eta, p, omega), and a scan would only find rounding noise.
         return EsdResult("asymptotic_zero")
+    if method == "paper":
+        # The normalising trace is positive, so the unnormalised published
+        # branch has the sign of the normalised one that the curve reads.
+        def signed_at(gamma_t: float) -> float:
+            pub = published_pair_elements(params, kind, gamma_t / params.gamma)
+            return _published_branch(pub, kind, 1.0)[0]
+    else:
+        def signed_at(gamma_t: float) -> float:
+            return _signed_point(params, kind, rho0, gamma_t, method)[0]
+    return _scan_for_death(signed_at, threshold, horizon, samples)
 
+
+def _scan_for_death(signed_at: Callable[[float], float], threshold: float,
+                    horizon: float, samples: int) -> EsdResult:
+    """Scan ``signed_at(gamma_t)`` on ``samples`` points of [0, horizon].
+
+    True finite-time death means the signed X-branch argument crosses
+    zero, the (clamped) concurrence stays below ``threshold`` through the
+    horizon, and some later sample is resolved below -threshold; a
+    crossing that bounces back above the threshold is treated as
+    numerical zero-touching and the search continues after the revival.
+    A curve that never resolves a death decays asymptotically to zero.
+    The death time is bisected to 1e-10 between the last live sample and
+    the first dead one.
+    """
     grid = np.linspace(0.0, horizon, samples)
-    signed = np.array([_signed_point(params, kind, rho0, g, method)[0] for g in grid])
+    signed = np.array([signed_at(g) for g in grid])
     dead = signed <= 0.0
     if not dead.any():
         return EsdResult("asymptotic_zero")
@@ -292,7 +332,7 @@ def esd_time(
     lo, hi = grid[first - 1], grid[first]
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if _signed_point(params, kind, rho0, mid, method)[0] <= 0.0:
+        if signed_at(mid) <= 0.0:
             hi = mid
         else:
             lo = mid

@@ -266,6 +266,12 @@ def test_esd_product_state_hook(capsys):
     assert report["gamma_t_death"] == 0.0
 
 
+def test_esd_product_state_rejects_paper_method(capsys):
+    code, out, err = run_cli(capsys, "esd", "--initial", "product", "--method", "paper")
+    assert code == 2 and out == ""
+    assert err == "error: esd --initial product supports the oracle method only\n"
+
+
 DOMAIN_P = ("0", "0.25", "0.5", "0.75", "0.99", "0.999999999", "1")
 DOMAIN_ETA = ("0", "0.5", "1", "2", "3")
 

@@ -1,0 +1,68 @@
+"""CLI fuzz: valid and invalid flag values and config files for every subcommand.
+
+Every run must exit 0 with nothing on stderr, or exit 2 with a one-line
+``error:`` diagnostic; an exception escaping ``main`` fails the test.
+``--steps`` stays at most 200, so no run builds a large grid.
+"""
+
+import contextlib
+import io
+import os
+import tempfile
+
+from hypothesis import given, settings, strategies as st
+
+from vicsim.cli import main
+
+NUMBERS = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "-1", "0", "-0", "1e-300", "1e300", "abc", "",
+                     "0.5", "1", "2", "3", "1e-9", "0.999999999", "1.5", "0x10"]),
+    st.floats(0.0, 3.0).map(repr),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+)
+STEPS = st.one_of(st.integers(-3, 200).map(str), st.sampled_from(["abc", "1.5", "nan", ""]))
+CHOICES = {
+    "bell": st.sampled_from(["psi", "phi", "omega"]),
+    "method": st.sampled_from(["oracle", "paper", "bogus"]),
+    "format": st.sampled_from(["csv", "json", "xml"]),
+    "initial": st.sampled_from(["product", "excited", "ground", "superposition", "bogus"]),
+}
+VALUES = {"gamma": NUMBERS, "eta": NUMBERS, "p": NUMBERS, "t-max": NUMBERS, "steps": STEPS,
+          **CHOICES}
+
+
+@st.composite
+def _flag(draw):
+    name = draw(st.sampled_from(sorted(VALUES)))
+    return [f"--{name}", draw(VALUES[name])]
+
+
+@st.composite
+def _config_line(draw):
+    name = draw(st.sampled_from(sorted(VALUES)))
+    good = f"{name.replace('-', '_')} = {draw(VALUES[name])}"
+    return draw(st.sampled_from([good, good + "  # note", "garbage", "=", "eta", "# comment",
+                                 "", "flux = 1.21", "eta = 1 = 2", f"{name} ="]))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(command=st.sampled_from(["curve", "single", "steady", "compare", "esd"]),
+       flags=st.lists(_flag(), max_size=5),
+       config=st.none() | st.lists(_config_line(), max_size=4))
+def test_cli_exits_cleanly_on_any_input(command, flags, config):
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [command] + [token for flag in flags for token in flag]
+        if config is not None:
+            path = os.path.join(tmp, "run.cfg")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write("\n".join(config) + "\n")
+            argv += ["--config", path]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    message = err.getvalue()
+    assert code in (0, 2), argv
+    if code == 0:
+        assert message == "", argv
+    else:
+        assert message.startswith("error:") and message.count("\n") == 1, (argv, message)

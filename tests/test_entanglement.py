@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import vicsim.entanglement
 from vicsim.bipartite import BellKind, bell_state, evolve_pair, product_state, project_to_qubits
 from vicsim.entanglement import (
     EsdResult,
     NotAState,
     NotXForm,
+    _scan_for_death,
     _signed_point,
     concurrence_curve,
     concurrence_wootters,
@@ -226,6 +228,72 @@ def test_esd_bell_answer_matches_the_scan(kind, eta, p):
     # an explicit rho0 takes the sampled scan, the Bell start its exact limit
     params = VParams(eta=eta, p=p)
     assert esd_time(params, kind, rho0=bell_state(kind)) == esd_time(params, kind)
+
+
+def test_esd_rejects_unknown_method():
+    with pytest.raises(ValueError, match="unknown method"):
+        esd_time(VParams(), BellKind.PSI, method="bogus")
+
+
+def test_esd_published_mode_requires_full_interference():
+    with pytest.raises(UnsupportedParams):
+        esd_time(VParams(p=0.5, eta=0.3), BellKind.PSI, method="paper")
+
+
+def test_esd_published_mode_rejects_explicit_start():
+    # the published forms cover only the Bell starts; the oracle takes the rest
+    with pytest.raises(ValueError, match="oracle method only"):
+        esd_time(VParams(), BellKind.PSI, rho0=product_state(0, 0), method="paper")
+
+
+def _evolved_paper_esd(params, kind, threshold=1e-12, horizon=50.0, samples=1001):
+    """esd under the published forms, every sample normalised by the evolved trace."""
+    rho0 = bell_state(kind)
+
+    def signed_at(gamma_t):
+        return _signed_point(params, kind, rho0, gamma_t, "paper")[0]
+
+    limit = max(0.0, signed_at(horizon))
+    if limit > 10.0 * threshold:
+        return EsdResult("asymptotic_positive", concurrence_limit=limit)
+    return _scan_for_death(signed_at, threshold, horizon, samples)
+
+
+_EDGE = 1.0 / math.sqrt(3.0)  # psi's published limit is proportional to eta^2 (3 eta^2 - 1)
+_PAPER_ESD_CASES = [
+    (BellKind.PSI, eta, gamma)
+    for eta, gamma in [
+        (0.0, 1.0), (0.0, 2.0), (0.02, 1.0), (0.05, 0.5), (0.1, 2.0), (0.15, 1.0),
+        (0.2, 0.5), (0.25, 1.0), (0.3, 1.0), (0.3, 2.0), (0.35, 0.5), (0.4, 1.0),
+        (0.45, 2.0), (0.5, 1.0), (0.55, 0.5), (_EDGE - 1e-3, 1.0), (_EDGE - 1e-3, 2.0),
+        (_EDGE + 1e-3, 1.0), (_EDGE + 1e-3, 0.5), (0.7, 1.0), (1.0, 2.0), (SQRT2, 1.0),
+        (3.0, 0.5),
+    ]
+] + [
+    (BellKind.PHI, eta, gamma)
+    for eta, gamma in [(0.0, 1.0), (0.05, 2.0), (0.3, 1.0), (_EDGE, 0.5), (1.0, 1.0),
+                       (2.5, 2.0)]
+]
+
+
+@pytest.mark.parametrize("kind, eta, gamma", _PAPER_ESD_CASES)
+def test_esd_published_scan_matches_the_evolved_scan(kind, eta, gamma):
+    # the trace-free published branch decides exactly as the normalised one
+    params = VParams(gamma=gamma, eta=eta, p=1.0)
+    assert esd_time(params, kind, method="paper") == _evolved_paper_esd(params, kind)
+
+
+def test_esd_published_scan_evolves_the_pair_once(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args[-1])
+        return evolve_pair(*args)
+
+    monkeypatch.setattr(vicsim.entanglement, "evolve_pair", counted)
+    result = esd_time(VParams(eta=0.3, p=1.0), BellKind.PSI, method="paper")
+    assert result.kind == "vanishes_at"
+    assert calls == [50.0]  # the horizon, for the normalised limit
 
 
 @pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
