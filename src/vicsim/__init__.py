@@ -7,41 +7,28 @@ traps population in a dark superposition, which in turn protects the
 entanglement of the pair: concurrence settles at a nonzero value set by
 the dipole ratio eta instead of decaying away.
 
-The package provides the master-equation machinery (three independent
-propagators that cross-validate each other), the two-qubit projection
+The package provides the closed-form single-atom channel and its
+long-time limit, the factorized pair evolution, the two-qubit projection
 and concurrence, curve generation, steady states, sudden-death search,
-and a CLI. The closed-form matrix elements quoted in the literature for
-this system ship as a transcription-faithful audit mode alongside the
-oracle dynamics.
+and a CLI, all on numpy alone. The closed-form matrix elements quoted in
+the literature for this system ship as a transcription-faithful audit
+mode alongside the oracle dynamics. The independent cross-checks
+(exponentiated Liouvillian, RK4, the joint pair generator and the
+general Wootters concurrence) live in ``vicsim.oracles``, which needs
+scipy and is not imported here.
 """
 
-from .qlinalg import (
-    NotHermitian,
-    NotPSD,
-    Spectrum,
-    dagger,
-    expm,
-    hermitian_eig,
-    psd_sqrt,
-    tensor_product,
-    unvec,
-    vec,
-)
 from .vsystem import (
     NoConvergence,
     PublishedSingleAtom,
-    StepTooLarge,
     UnsupportedParams,
     VParams,
     alpha_beta,
     apply_channel,
-    build_liouvillian,
     dark_vector,
     excited_state,
     ground_state,
     propagate_channel,
-    propagate_rk4,
-    propagate_spectral,
     published_rho11_infinity,
     published_single_atom,
     steady_channel,
@@ -52,10 +39,9 @@ from .bipartite import (
     BellKind,
     TwoQubitState,
     ZeroTrace,
+    apply_pair_channel,
     bell_state,
     evolve_pair,
-    evolve_pair_joint,
-    joint_liouvillian,
     product_state,
     project_to_qubits,
     published_pair_elements,
@@ -66,10 +52,8 @@ from .entanglement import (
     ConcurrenceCurve,
     ConcurrencePoint,
     EsdResult,
-    NotAState,
     NotXForm,
     concurrence_curve,
-    concurrence_wootters,
     concurrence_x,
     esd_time,
     steady_concurrence,

@@ -4,17 +4,19 @@ and projection onto the two-qubit subspace.
 The pair lives in the 9-dimensional space (|1>,|2>,|3>)_A ox (|1>,|2>,|3>)_B
 with index 3*i + j for |i_A j_B> (zero-based levels). Because the atoms
 couple only to their own reservoirs, the joint propagator factorizes
-into the tensor product of the single-atom channels; the equality with
-direct integration under the joint Liouvillian L_A ox 1 + 1 ox L_B is a
-theorem this module also exposes for cross-checking.
+into the tensor product of the single-atom channels (``apply_pair_channel``);
+vicsim.oracles checks it against direct integration under the joint
+Liouvillian L_A ox 1 + 1 ox L_B.
 
 The two-qubit readout compresses onto the block spanned by levels
 {|1>, |3>} of each atom, in the fixed basis order
 
     |1A 1B>, |1A 3B>, |3A 1B>, |3A 3B>,
 
-records the pre-normalization trace (population leaked to the umbrella
-levels only ever removes weight), and renormalizes.
+records the pre-normalization trace (the weight not on the umbrella
+levels), and renormalizes. The trace never increases at p = 0 or at
+p = 1 with equal level frequencies; otherwise the umbrella level
+empties into the ground level and the trace recovers.
 """
 
 from __future__ import annotations
@@ -25,15 +27,7 @@ from enum import Enum
 
 import numpy as np
 
-from .qlinalg import hermitize, tensor_product, vec, unvec, expm
-from .vsystem import (
-    VParams,
-    decay_terms,
-    hamiltonian,
-    lindblad_superoperator,
-    propagate_channel,
-    steady_channel,
-)
+from .vsystem import VParams, hermitize, propagate_channel, steady_channel
 
 PAIR_DIM = 9
 # Pair-space indices of |1A1B>, |1A3B>, |3A1B>, |3A3B>, in that basis order.
@@ -76,8 +70,8 @@ def product_state(ket_a: int = 0, ket_b: int = 0) -> np.ndarray:
     return np.outer(v, v.conj())
 
 
-def _apply_factorized(channel_a: np.ndarray, channel_b: np.ndarray,
-                      rho_pair: np.ndarray) -> np.ndarray:
+def apply_pair_channel(channel_a: np.ndarray, channel_b: np.ndarray,
+                       rho_pair: np.ndarray) -> np.ndarray:
     """Act with Lambda_A ox Lambda_B on a 9x9 pair matrix.
 
     The pair matrix reshapes to T[i, k, j, l] = rho[3i+k, 3j+l]; each
@@ -95,42 +89,14 @@ def evolve_pair(params_a: VParams, params_b: VParams,
     """Factorized evolution of the pair for time t."""
     channel_a = propagate_channel(params_a, t)
     channel_b = channel_a if params_b == params_a else propagate_channel(params_b, t)
-    return _apply_factorized(channel_a, channel_b, rho0)
-
-
-def joint_liouvillian(params_a: VParams, params_b: VParams) -> np.ndarray:
-    """81x81 generator L_A ox 1 + 1 ox L_B on the vectorized pair matrix."""
-    eye = np.eye(3, dtype=complex)
-    ham = tensor_product(hamiltonian(params_a), eye) + tensor_product(eye, hamiltonian(params_b))
-    terms = [
-        (rate, tensor_product(jump, eye), tensor_product(partner, eye))
-        for rate, jump, partner in decay_terms(params_a)
-    ]
-    terms += [
-        (rate, tensor_product(eye, jump), tensor_product(eye, partner))
-        for rate, jump, partner in decay_terms(params_b)
-    ]
-    return lindblad_superoperator(ham, terms)
-
-
-def evolve_pair_joint(params_a: VParams, params_b: VParams,
-                      rho0: np.ndarray, t: float) -> np.ndarray:
-    """Direct integration route: exponentiate the joint Liouvillian.
-
-    Independent of the factorized channel construction; used to validate
-    it.
-    """
-    if t < 0:
-        raise ValueError(f"t must be non-negative, got {t}")
-    prop = expm(joint_liouvillian(params_a, params_b) * t)
-    return hermitize(unvec(prop @ vec(rho0), PAIR_DIM))
+    return apply_pair_channel(channel_a, channel_b, rho0)
 
 
 def steady_pair(params_a: VParams, params_b: VParams, rho0: np.ndarray) -> np.ndarray:
     """Long-time limit of the factorized pair evolution."""
     chan_a = steady_channel(params_a)
     chan_b = chan_a if params_b == params_a else steady_channel(params_b)
-    return _apply_factorized(chan_a, chan_b, rho0)
+    return apply_pair_channel(chan_a, chan_b, rho0)
 
 
 def qubit_block(rho_pair: np.ndarray) -> np.ndarray:

@@ -1,14 +1,13 @@
 """Concurrence of the projected qubit pair and its time dependence.
 
-Two independent routes are provided: the general spin-flip construction
-(eigenvalues of sqrt(rho) rho_tilde sqrt(rho)) and the closed form for
-X-shaped states
+The concurrence is read in closed form for X-shaped states
 
     C = 2 max{0, |rho14| - sqrt(rho22 rho33), |rho23| - sqrt(rho11 rho44)}.
 
-Both Bell initial states evolve inside the X family here, so the fast
-path applies along every curve; the general formula is kept as the
-authority the fast path is checked against.
+Both Bell initial states evolve inside the X family here, so this
+readout applies along every curve. The general spin-flip construction
+(Wootters), the authority it is checked against, is the second route
+and lives in vicsim.oracles.
 """
 
 from __future__ import annotations
@@ -27,62 +26,18 @@ from .bipartite import (
     published_pair_elements,
     steady_pair,
 )
-from .qlinalg import hermiticity_defect, hermitize, psd_sqrt
 from .vsystem import UnsupportedParams, VParams
-
-_SIGMA_Y = np.array([[0.0, -1j], [1j, 0.0]])
-SPIN_FLIP = np.kron(_SIGMA_Y, _SIGMA_Y).real  # antidiagonal (-1, 1, 1, -1)
 
 # Entries allowed to be nonzero in an X-shaped 4x4 state.
 _X_MASK = np.zeros((4, 4), dtype=bool)
 _X_MASK[np.arange(4), np.arange(4)] = True
 _X_MASK[np.arange(4), np.arange(4)[::-1]] = True
 
-STATE_TRACE_TOL = 1e-8
-STATE_HERMITIAN_TOL = 1e-10
-STATE_EIGENVALUE_FLOOR = -1e-10
 X_FORM_TOL = 1e-10
-
-
-class NotAState(ValueError):
-    """Input is not a normalized two-qubit density matrix."""
 
 
 class NotXForm(ValueError):
     """Input has weight outside the diagonal/antidiagonal X pattern."""
-
-
-def _check_state(rho: np.ndarray) -> np.ndarray:
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
-        raise NotAState(f"expected a 4x4 matrix, got shape {rho.shape}")
-    defect = hermiticity_defect(rho)
-    if defect > STATE_HERMITIAN_TOL:
-        raise NotAState(f"Hermiticity defect {defect:.3e}")
-    trace = np.trace(rho).real
-    if abs(trace - 1.0) > STATE_TRACE_TOL:
-        raise NotAState(f"trace {trace:.12f} is not 1")
-    w = np.linalg.eigvalsh(hermitize(rho))
-    if float(w.min()) < STATE_EIGENVALUE_FLOOR:
-        raise NotAState(f"negative eigenvalue {w.min():.3e}")
-    return rho
-
-
-def concurrence_wootters(rho: np.ndarray) -> float:
-    """General two-qubit concurrence via the Hermitian spin-flip form.
-
-    C = max{0, l1 - l2 - l3 - l4} with l_k the descending square roots
-    of the eigenvalues of sqrt(rho) rho_tilde sqrt(rho), where rho_tilde =
-    Y conj(rho) Y is the spin flip with Y = sigma_y ox sigma_y. That
-    matrix is A A^+ with A = sqrt(rho) Y conj(sqrt(rho)), so the l_k are
-    read as the singular values of A: square roots of rounding-level
-    eigenvalues of A A^+ would put ~1e-8 into l2..l4 of a nearly pure
-    state.
-    """
-    rho = _check_state(rho)
-    root = psd_sqrt(rho)
-    lam = np.linalg.svd(root @ SPIN_FLIP @ root.conj(), compute_uv=False)
-    return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
 
 
 def x_branch_values(rho: np.ndarray) -> tuple[float, float]:
@@ -255,14 +210,17 @@ def esd_time(
     the derivation below), so it is otherwise asymptotically zero.
 
     Otherwise the signed X-branch argument is scanned on ``samples``
-    points (see ``_scan_for_death``). A Bell start under the published
-    forms (method 'paper', p = 1 only) reads each sample from the
-    published elements alone, with no pair evolution; only its limit
-    evolves the pair once, at the horizon, for the normalising trace.
-    The scan of the evolved pair serves an explicit ``rho0``, which the
-    published forms do not cover, so it takes method 'oracle' only.
+    (at least 2) points (see ``_scan_for_death``). A Bell start under
+    the published forms (method 'paper', p = 1 only) reads each sample
+    from the published elements alone, with no pair evolution; only its
+    limit evolves the pair once, at the horizon, for the normalising
+    trace. The scan of the evolved pair serves an explicit ``rho0``,
+    which the published forms do not cover, so it takes method 'oracle'
+    only.
     """
     _check_method(params, method)
+    if samples < 2:
+        raise ValueError(f"samples must be at least 2, got {samples}")
     bell_start = rho0 is None
     if method == "paper" and not bell_start:
         raise ValueError("published forms cover only the Bell starts: "

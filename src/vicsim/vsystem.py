@@ -23,11 +23,11 @@ Gamma is singular only at p = 1 or eta = 0. At p = 1 its kernel, the
 dark superposition (eta|1> - |2>)/sqrt(1 + eta^2), is decoupled from
 the reservoir and traps population, while the orthogonal bright one
 decays at 2*gamma*(1 + eta^2). The exponentiated Liouvillian and
-fixed-step RK4 are kept as independent oracles: with the closed form
-they make the three-way propagator cross-check.
+fixed-step RK4 that cross-check this closed form live in vicsim.oracles.
 
-Density matrices are plain complex 3x3 ndarrays; Liouvillians act on
-row-major vectorized matrices (see qlinalg).
+Density matrices are plain complex 3x3 ndarrays; channels are 9x9
+matrices acting on row-major vectorized states, vec(rho)[3*i + j] =
+rho[i, j].
 """
 
 from __future__ import annotations
@@ -39,18 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import qlinalg
-from .qlinalg import dagger, hermitize, tensor_product, unvec, vec
-
 EXCITED, UMBRELLA, GROUND = 0, 1, 2
-
-# Default RK4 step: DEFAULT_STEP_SCALE / (gamma * (1 + eta^2)). Keeps the
-# accumulated local error far below the 1e-8 cross-validation budget.
-DEFAULT_STEP_SCALE = 1e-3
-
-
-class StepTooLarge(ValueError):
-    """Requested integration step violates the RK4 stability guard."""
 
 
 class UnsupportedParams(ValueError):
@@ -89,6 +78,10 @@ class VParams:
             raise ValueError(
                 f"gamma*(1 + eta^2) must be finite, got gamma = {self.gamma}, eta = {self.eta}"
             )
+        if not (math.isfinite(self.omega1) and math.isfinite(self.omega2)):
+            raise ValueError(
+                f"omega1 and omega2 must be finite, got {self.omega1}, {self.omega2}"
+            )
 
     @property
     def gamma1(self) -> float:
@@ -106,13 +99,6 @@ class VParams:
     def bright_rate(self) -> float:
         """Coherence decay rate gamma*(1 + eta^2) of the bright channel."""
         return self.gamma * (1.0 + self.eta**2)
-
-
-def matrix_unit(i: int, j: int, dim: int = 3) -> np.ndarray:
-    """Operator |i><j| as a dense matrix."""
-    m = np.zeros((dim, dim), dtype=complex)
-    m[i, j] = 1.0
-    return m
 
 
 def basis_ket(i: int, dim: int = 3) -> np.ndarray:
@@ -144,99 +130,6 @@ def superposition_state() -> np.ndarray:
 def dark_vector(eta: float) -> np.ndarray:
     """Decay-free superposition (eta|1> - |2>)/sqrt(1 + eta^2)."""
     return np.array([eta, -1.0, 0.0], dtype=complex) / math.sqrt(1.0 + eta**2)
-
-
-def hamiltonian(params: VParams) -> np.ndarray:
-    """Free Hamiltonian omega1|1><1| + omega2|2><2| (ground level at zero)."""
-    return np.diag([params.omega1, params.omega2, 0.0]).astype(complex)
-
-
-def decay_terms(params: VParams) -> list[tuple[float, np.ndarray, np.ndarray]]:
-    """Dissipator terms as (rate, J, K) with action rate*(2 J rho K^+ - {K^+ J, rho}).
-
-    Diagonal terms carry the two spontaneous channels, the two cross
-    terms the interference damping gamma_12.
-    """
-    a31 = matrix_unit(GROUND, EXCITED)
-    a32 = matrix_unit(GROUND, UMBRELLA)
-    return [
-        (params.gamma1, a31, a31),
-        (params.gamma2, a32, a32),
-        (params.gamma12, a31, a32),
-        (params.gamma12, a32, a31),
-    ]
-
-
-def lindblad_superoperator(
-    ham: np.ndarray, terms: list[tuple[float, np.ndarray, np.ndarray]]
-) -> np.ndarray:
-    """Liouvillian matrix L with vec(rho') = L @ vec(rho), row-major vec."""
-    dim = ham.shape[0]
-    eye = np.eye(dim, dtype=complex)
-    liou = -1j * (tensor_product(ham, eye) - tensor_product(eye, ham.T))
-    for rate, jump, partner in terms:
-        kj = dagger(partner) @ jump
-        liou += rate * (
-            2.0 * tensor_product(jump, partner.conj())
-            - tensor_product(kj, eye)
-            - tensor_product(eye, kj.T)
-        )
-    return liou
-
-
-def build_liouvillian(params: VParams) -> np.ndarray:
-    """9x9 generator of the single-atom master equation."""
-    return lindblad_superoperator(hamiltonian(params), decay_terms(params))
-
-
-def default_step(params: VParams) -> float:
-    return DEFAULT_STEP_SCALE / params.bright_rate
-
-
-def rk4_evolve(liou: np.ndarray, rho0: np.ndarray, t: float, dt: float) -> np.ndarray:
-    """Classical fixed-step RK4 for vec(rho)' = L vec(rho).
-
-    With L constant one step is the fixed matrix P = sum_{k<=4} (hL)^k / k!,
-    so the n steps of size h = t/n are P^n, formed by repeated squaring.
-    The result is Hermitized once; trace is preserved by construction
-    since the trace functional annihilates L.
-    """
-    if t < 0:
-        raise ValueError(f"t must be non-negative, got {t}")
-    rho0 = np.asarray(rho0, dtype=complex)
-    if t == 0:
-        return rho0.copy()
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    if dt * np.linalg.norm(liou, 2) > 0.5:
-        raise StepTooLarge(f"dt*|L| = {dt * np.linalg.norm(liou, 2):.3e} exceeds 0.5")
-    dim = rho0.shape[0]
-    steps = max(1, math.ceil(t / dt))
-    hl = (t / steps) * liou
-    term = np.eye(liou.shape[0], dtype=complex)
-    step = term.copy()
-    for k in range(1, 5):
-        term = term @ hl / k
-        step += term
-    x = np.linalg.matrix_power(step, steps) @ rho0.reshape(-1)
-    return hermitize(x.reshape(dim, dim))
-
-
-def propagate_rk4(
-    params: VParams, rho0: np.ndarray, t: float, dt: float | None = None
-) -> np.ndarray:
-    """Evolve a 3x3 state for time t by fixed-step RK4."""
-    if dt is None:
-        dt = default_step(params)
-    return rk4_evolve(build_liouvillian(params), rho0, t, dt)
-
-
-def propagate_spectral(params: VParams, rho0: np.ndarray, t: float) -> np.ndarray:
-    """Evolve a 3x3 state for time t via the exponentiated Liouvillian."""
-    if t < 0:
-        raise ValueError(f"t must be non-negative, got {t}")
-    prop = qlinalg.expm(build_liouvillian(params) * t)
-    return hermitize(unvec(prop @ vec(rho0), 3))
 
 
 # Flat positions S.flat[9*row + col] of the 9x9 channel entries that the
@@ -325,10 +218,15 @@ def propagate_channel(params: VParams, t: float) -> np.ndarray:
     return _channel_from_no_jump(_no_jump_propagator(params, t))
 
 
+def hermitize(m: np.ndarray) -> np.ndarray:
+    """Hermitian part (m + m^dagger) / 2."""
+    return (m + m.conj().T) / 2.0
+
+
 def apply_channel(channel: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """Apply a vectorized propagator to a density matrix."""
     dim = rho.shape[0]
-    return hermitize(unvec(channel @ vec(rho), dim))
+    return hermitize((channel @ rho.reshape(-1)).reshape(dim, dim))
 
 
 def _limit_channel(params: VParams, rho0: np.ndarray | None = None) -> np.ndarray:

@@ -14,15 +14,16 @@ from vicsim.bipartite import (
     BellKind,
     bell_state,
     evolve_pair,
-    evolve_pair_joint,
     project_to_qubits,
     qubit_block,
 )
 from vicsim.cli import main
-from vicsim.entanglement import (
+from vicsim.entanglement import concurrence_x, steady_concurrence
+from vicsim.oracles import (
     concurrence_wootters,
-    concurrence_x,
-    steady_concurrence,
+    evolve_pair_joint,
+    propagate_rk4,
+    propagate_spectral,
 )
 from vicsim.vsystem import (
     VParams,
@@ -30,8 +31,6 @@ from vicsim.vsystem import (
     dark_vector,
     excited_state,
     propagate_channel,
-    propagate_rk4,
-    propagate_spectral,
     steady_state,
 )
 from util import max_abs, random_density, random_unitary, random_x_state

@@ -8,15 +8,14 @@ from vicsim.bipartite import (
     ZeroTrace,
     bell_state,
     evolve_pair,
-    evolve_pair_joint,
-    joint_liouvillian,
     product_state,
     project_to_qubits,
     published_pair_elements,
     qubit_block,
     steady_pair,
 )
-from vicsim.vsystem import VParams, rk4_evolve
+from vicsim.oracles import evolve_pair_joint, joint_liouvillian, rk4_evolve
+from vicsim.vsystem import VParams
 from util import max_abs, random_density
 
 

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import subprocess
@@ -5,7 +6,9 @@ import sys
 
 import pytest
 
+import vicsim.cli
 from vicsim.cli import main
+from vicsim.vsystem import propagate_channel
 
 SQRT2 = "1.4142135623730951"
 
@@ -234,6 +237,19 @@ def test_compare_half_eta_only_coherence_element_matches(capsys):
     assert psi["rho22"] > 1e-6
 
 
+def test_compare_builds_one_channel_per_time(capsys, monkeypatch):
+    calls = []
+
+    def counted(params, t):
+        calls.append(t)
+        return propagate_channel(params, t)
+
+    monkeypatch.setattr(vicsim.cli, "propagate_channel", counted)
+    code, _, _ = run_cli(capsys, "compare", "--eta", "0.5", "--steps", "17")
+    assert code == 0
+    assert len(calls) == len(set(calls)) == 17
+
+
 def test_compare_requires_full_interference(capsys):
     code, _, err = run_cli(capsys, "compare", "--p", "0.5")
     assert code == 2
@@ -385,11 +401,21 @@ def test_parser_reused_across_calls_matches_fresh_processes(tmp_path, capsys):
         assert (proc.returncode, proc.stdout, proc.stderr) == result, args
 
 
+RUNTIME_MODULES = ("vicsim", "vicsim.cli", "vicsim.vsystem", "vicsim.bipartite",
+                   "vicsim.entanglement")
+
+
 def test_cli_import_leaves_scipy_out():
-    # the runtime is numpy-only; scipy serves only the oracle cross-checks
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, vicsim.cli; print('scipy' in sys.modules)"],
-        capture_output=True, text=True,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    # the runtime is numpy-only; scipy serves only the oracle cross-checks in
+    # vicsim.oracles, which no runtime module imports
+    probe = "import sys, {}; print(sorted({{'scipy', 'vicsim.oracles'}} & set(sys.modules)))"
+    procs = [subprocess.Popen([sys.executable, "-c", probe.format(module)],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+             for module in RUNTIME_MODULES]
+    for module, proc in zip(RUNTIME_MODULES, procs):
+        out, err = proc.communicate(timeout=60)
+        assert proc.returncode == 0, err
+        assert out.strip() == "[]", module
+    import vicsim.oracles  # noqa: F401  (the oracles still import, scipy and all)
+
+    assert importlib.util.find_spec("vicsim.qlinalg") is None

@@ -8,17 +8,16 @@ import vicsim.entanglement
 from vicsim.bipartite import BellKind, bell_state, evolve_pair, product_state, project_to_qubits
 from vicsim.entanglement import (
     EsdResult,
-    NotAState,
     NotXForm,
     _scan_for_death,
     _signed_point,
     concurrence_curve,
-    concurrence_wootters,
     concurrence_x,
     esd_time,
     steady_concurrence,
     x_branch_values,
 )
+from vicsim.oracles import NotAState, concurrence_wootters
 from vicsim.vsystem import UnsupportedParams, VParams, propagate_channel
 from util import random_density, random_unitary, random_x_state
 
@@ -233,6 +232,13 @@ def test_esd_bell_answer_matches_the_scan(kind, eta, p):
 def test_esd_rejects_unknown_method():
     with pytest.raises(ValueError, match="unknown method"):
         esd_time(VParams(), BellKind.PSI, method="bogus")
+
+
+@pytest.mark.parametrize("samples", [0, 1])
+def test_esd_rejects_fewer_than_two_samples(samples):
+    # one sample cannot see psi's published death at gamma*t ~ 1.36
+    with pytest.raises(ValueError, match="samples"):
+        esd_time(VParams(p=1.0, eta=0.3), BellKind.PSI, method="paper", samples=samples)
 
 
 def test_esd_published_mode_requires_full_interference():

@@ -2,17 +2,24 @@
 
 Draws cover eta in [0, 5], p with mass at 0, just below 1 and at 1,
 detuned transition frequencies, and times up to 20. The profiles are
-derandomized and bounded, so every run checks the same examples.
+derandomized and bounded, so every run checks the same examples. The
+runtime is checked against the oracles of vicsim.oracles here too.
 """
 
+import math
+from decimal import Decimal, localcontext
+
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from vicsim.bipartite import BellKind, bell_state, evolve_pair, project_to_qubits
-from vicsim.entanglement import concurrence_wootters, concurrence_x
-from vicsim.vsystem import VParams, propagate_channel
+from vicsim.entanglement import concurrence_curve, concurrence_x
+from vicsim.oracles import concurrence_wootters, propagate_spectral
+from vicsim.vsystem import NoConvergence, VParams, apply_channel, propagate_channel, steady_state
+from util import random_density
 
 PROFILE = settings(derandomize=True, database=None, deadline=None, max_examples=200)
+SHORT_PROFILE = settings(PROFILE, max_examples=100)  # the draws that build a curve or an oracle
 
 _P = st.one_of(st.sampled_from([0.0, 1.0 - 1e-9, 1.0]), st.floats(0.0, 1.0))
 _OMEGA = st.one_of(st.just(0.0), st.floats(-3.0, 3.0))
@@ -52,3 +59,79 @@ def test_x_concurrence_equals_wootters_on_evolved_bell_states(params, kind, t):
     value = concurrence_x(rho)
     assert 0.0 <= value <= 1.0
     assert abs(value - concurrence_wootters(rho)) <= 1e-10
+
+
+_SEED = st.integers(0, 2**32 - 1)
+
+
+@SHORT_PROFILE
+@given(params=_PARAMS, t=_TIME, seed=_SEED)
+def test_closed_form_equals_exponentiated_liouvillian(params, t, seed):
+    rho0 = random_density(np.random.default_rng(seed), 3)
+    closed = apply_channel(propagate_channel(params, t), rho0)
+    assert np.max(np.abs(closed - propagate_spectral(params, rho0, t))) <= 1e-12
+
+
+def _decay_rates(params):
+    """Decay rates of the excited amplitudes, slow first, as exact-input decimals.
+
+    They are the real parts of the eigenvalues T +- sqrt(D) of
+    A = Gamma + i diag(omega), with Gamma formed from eta and gamma
+    without rounding. Double precision would lose a slow rate below ~1e-16
+    of |A| to cancellation, or to an underflowing eta^2 gamma; 800 digits
+    keep every rate of the draws.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 800
+        gamma, eta, p, w1, w2 = (Decimal(v) for v in (
+            params.gamma, params.eta, params.p, params.omega1, params.omega2))
+        g1, g2, g12 = gamma, eta * eta * gamma, p * eta * gamma
+        a, b = (g1 - g2) / 2, (w1 - w2) / 2
+        d_re, d_im = a * a - b * b + g12 * g12, 2 * a * b
+        modulus = (d_re * d_re + d_im * d_im).sqrt()
+        root_re = ((modulus + d_re) / 2).sqrt()
+        mid = (g1 + g2) / 2
+        return mid - root_re, mid + root_re
+
+
+@SHORT_PROFILE
+@given(params=_PARAMS, seed=_SEED)
+def test_steady_state_is_the_long_time_channel(params, seed):
+    rho0 = random_density(np.random.default_rng(seed), 3)
+    try:
+        limit = steady_state(params, rho0)
+    except NoConvergence:
+        assume(False)
+    slow, fast = _decay_rates(params)
+    # a decay-free direction survives exactly where the limit keeps one
+    decay_free = params.eta * (1.0 - params.p) == 0.0 and (
+        params.eta == 0.0 or params.omega1 == params.omega2)
+    t = float(33 / (fast if decay_free else slow))  # amplitudes below exp(-33) ~ 5e-15
+    assume(math.isfinite(t))
+    # The detuned closed form forms its exponents as mu +- delta and loses
+    # ~1e-16 t |H_eff| of them to cancellation, so detuned draws stop at
+    # t |H_eff| = 1e12, where that loss is 1e-4.
+    if params.omega1 != params.omega2:
+        assume(t * max(float(fast), abs(params.omega1), abs(params.omega2)) <= 1e12)
+    late = apply_channel(propagate_channel(params, t), rho0)
+    assert np.max(np.abs(late - limit)) <= 1e-12
+
+
+@SHORT_PROFILE
+@given(params=_PARAMS, kind=st.sampled_from(list(BellKind)), t_max=st.floats(0.1, 20.0))
+def test_pre_norm_trace_never_increases_while_the_umbrella_fills(params, kind, t_max):
+    curve = concurrence_curve(params, kind, np.linspace(0.0, t_max, 21))
+    trace = np.array([pt.elements["pre_norm_trace"] for pt in curve.points])
+    assert trace.min() > 0.0 and trace.max() <= 1.0 + 1e-15
+    # The trace is the weight off the umbrella levels. That weight only
+    # grows without cross-damping (none enters) and under maximal
+    # interference with equal frequencies (the dark state holds it).
+    if params.gamma12 == 0.0 or (params.p == 1.0 and params.omega1 == params.omega2):
+        assert np.diff(trace).max() <= 1e-15
+
+
+def test_pre_norm_trace_recovers_below_maximal_interference():
+    # at 0 < p < 1 the umbrella level fills, then empties into the ground level
+    curve = concurrence_curve(VParams(eta=1.0, p=0.5), BellKind.PSI, np.linspace(0.0, 20.0, 81))
+    trace = [pt.elements["pre_norm_trace"] for pt in curve.points]
+    assert min(trace) < 0.97 and trace[-1] > 0.999

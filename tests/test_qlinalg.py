@@ -1,7 +1,9 @@
+"""The dense complex kernel behind the oracles in vicsim.oracles."""
+
 import numpy as np
 import pytest
 
-from vicsim.qlinalg import (
+from vicsim.oracles import (
     NotHermitian,
     NotPSD,
     dagger,

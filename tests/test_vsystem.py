@@ -3,24 +3,26 @@ import math
 import numpy as np
 import pytest
 
-from vicsim.qlinalg import vec
+from vicsim.oracles import (
+    StepTooLarge,
+    build_liouvillian,
+    default_step,
+    propagate_rk4,
+    propagate_spectral,
+    rk4_evolve,
+    vec,
+)
 from vicsim.vsystem import (
     NoConvergence,
-    StepTooLarge,
     VParams,
     alpha_beta,
     apply_channel,
-    build_liouvillian,
     dark_vector,
-    default_step,
     excited_state,
     ground_state,
     propagate_channel,
-    propagate_rk4,
-    propagate_spectral,
     published_rho11_infinity,
     published_single_atom,
-    rk4_evolve,
     steady_state,
     superposition_state,
 )
@@ -46,7 +48,8 @@ def test_vparams_validation():
     with pytest.raises(ValueError):
         VParams(p=1.5)
     for bad in ({"gamma": math.inf}, {"gamma": math.nan}, {"eta": math.inf},
-                {"eta": math.nan}, {"p": math.nan}, {"eta": 1e200}):
+                {"eta": math.nan}, {"p": math.nan}, {"eta": 1e200},
+                {"omega1": math.nan}, {"omega1": math.inf}, {"omega2": -math.inf}):
         with pytest.raises(ValueError):
             VParams(**bad)
 
@@ -86,7 +89,7 @@ def test_trace_functional_is_left_null_vector():
 
 def test_liouvillian_matches_propagator_derivative():
     # central difference of expm(L dt) recovers L column by column
-    from vicsim.qlinalg import expm
+    from vicsim.oracles import expm
 
     liou = build_liouvillian(VParams(eta=1.0, p=1.0))
     dt = 1e-6
@@ -220,7 +223,7 @@ def test_channel_at_exceptional_point_matches_spectral():
 def test_channel_agrees_with_spectral_at_full_interference():
     params = VParams(eta=1.3, p=1.0)
     chan = propagate_channel(params, 0.9)
-    from vicsim.qlinalg import expm
+    from vicsim.oracles import expm
 
     assert max_abs(chan - expm(build_liouvillian(params) * 0.9)) <= 1e-10
 
