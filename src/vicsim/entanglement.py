@@ -52,7 +52,7 @@ def _check_x_form(rho: np.ndarray, tol: float = X_FORM_TOL) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise NotXForm(f"expected a 4x4 matrix, got shape {rho.shape}")
-    worst = float(np.max(np.abs(rho[~_X_MASK]))) if (~_X_MASK).any() else 0.0
+    worst = float(np.max(np.abs(rho[~_X_MASK])))
     if worst > tol:
         raise NotXForm(f"non-X entry of magnitude {worst:.3e}")
     return rho

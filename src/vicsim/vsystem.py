@@ -18,7 +18,11 @@ Quantum jumps only feed the ground level, so one closed form propagates
 every (eta, p, omega): the channel built from the 2x2 no-jump propagator
 U(t) = exp(-i H_eff t) of the excited levels, H_eff = diag(omega1,
 omega2) - i Gamma with the damping matrix Gamma = [[gamma_1, gamma_12],
-[gamma_12, gamma_2]]. Its t -> infinity limit is the steady state.
+[gamma_12, gamma_2]]. U is one formula, the same with and without
+detuning: both decay rates and the eigenprojectors of H_eff are formed
+from sums of non-negative terms, so no rate is lost to cancellation
+however far apart the two rates are (see _no_jump_propagator). Its
+t -> infinity limit is the steady state.
 Gamma is singular only at p = 1 or eta = 0. At p = 1 its kernel, the
 dark superposition (eta|1> - |2>)/sqrt(1 + eta^2), is decoupled from
 the reservoir and traps population, while the orthogonal bright one
@@ -101,8 +105,8 @@ class VParams:
         return self.gamma * (1.0 + self.eta**2)
 
 
-def basis_ket(i: int, dim: int = 3) -> np.ndarray:
-    v = np.zeros(dim, dtype=complex)
+def basis_ket(i: int) -> np.ndarray:
+    v = np.zeros(3, dtype=complex)
     v[i] = 1.0
     return v
 
@@ -143,10 +147,11 @@ _CHANNEL_SLOTS = np.array(
     + [9 * 8 + c for c in _EE]                            # lost excited weight -> rho_33
 )
 _EYE2 = np.eye(2)
-# Below |delta^2| = 1e-2 the 2x2 exponential uses its power series in
-# delta^2: there (exp(mu + delta) - exp(mu - delta)) / delta would lose
-# digits to cancellation, while the truncated series is good to ~1e-17.
-_SERIES_BELOW = 1e-2
+# Below |r t| = 0.1 the 2x2 exponential uses its power series in (r t)^2:
+# there the fast and slow exponentials nearly coincide and the projectors
+# onto their eigenvectors blow up, so their sum would lose digits to
+# cancellation, while the truncated series is good to ~1e-17.
+_SERIES_BELOW = 0.1
 
 
 def _channel_from_no_jump(u: np.ndarray) -> np.ndarray:
@@ -169,46 +174,65 @@ def _channel_from_no_jump(u: np.ndarray) -> np.ndarray:
 
 
 def _no_jump_propagator(params: VParams, t: float) -> np.ndarray:
-    """U(t) = exp(-i H_eff t) on the excited levels, H_eff = diag(omega) - i Gamma.
+    """U(t) = exp(-i H_eff t) = exp(-A t) on the excited levels, A = Gamma + i diag(omega).
 
-    Gamma = [[gamma_1, gamma_12], [gamma_12, gamma_2]] is the damping
-    matrix of the excited block.
+    One formula for every (eta, p, omega). Gamma = [[gamma_1, gamma_12],
+    [gamma_12, gamma_2]] is the damping matrix of the excited block. The
+    mean frequency is a common phase; the rest of A is m + [[d, gamma_12],
+    [gamma_12, -d]] with m = (gamma_1 + gamma_2)/2 and d = (gamma_1 -
+    gamma_2)/2 + i w, w = (omega1 - omega2)/2. Its eigenvalues are m +- r,
+    r = sqrt(d^2 + gamma_12^2) with Re r >= 0, so
+
+        U = exp(-(m + r) t) P_fast + exp(-(m - r) t) P_slow,
+        P_fast, P_slow = [[r +- d, +-gamma_12], [+-gamma_12, r -+ d]] / (2 r).
+
+    No entry is a difference of nearly equal numbers:
+    - the fast rate m + Re r is a sum of non-negative terms;
+    - the slow rate is m - Re r = (m^2 - Re(r)^2) / (m + Re r), with
+      m^2 - Re(r)^2 = 2 (m^2 det Gamma + w^2 gamma_1 gamma_2) / (m^2 +
+      det Gamma + w^2 + |r|^2) and det Gamma = gamma_1 gamma_2 (1 - p)(1 + p),
+      all terms non-negative; for omega1 == omega2 it is det Gamma / fast,
+      so p just below 1 and a tiny eta keep their small rates;
+    - of r + d and r - d the smaller is gamma_12^2 over the larger;
+    - near the exceptional point, |r t| < _SERIES_BELOW, the power series in
+      (r t)^2 replaces the projectors.
+    Rates and projectors are formed in units of s = max(m, |w|), so no
+    square over- or underflows.
     """
     g1, g2, g12, p = params.gamma1, params.gamma2, params.gamma12, params.p
-    if params.omega1 == params.omega2:
-        # U = exp(-i omega t) exp(-Gamma t) from the eigensystem of the real
-        # symmetric Gamma. The slow rate is det(Gamma) / fast with
-        # det(Gamma) = gamma^2 eta^2 (1 - p)(1 + p), so p just below 1 keeps
-        # its small rate instead of a rounding difference of the large ones.
-        half_gap = 0.5 * (g1 - g2)
-        fast = 0.5 * (g1 + g2) + math.hypot(half_gap, g12)
-        slow = g2 * (1.0 - p) * (1.0 + p) * (g1 / fast)
-        theta = 0.5 * math.atan2(g12, half_gap)  # (cos, sin) is the fast direction
-        c, s = math.cos(theta), math.sin(theta)
-        xf, xs = math.exp(-fast * t), math.exp(-slow * t)
-        off = c * s * (xf - xs)
-        u = np.array([[c * c * xf + s * s * xs, off], [off, s * s * xf + c * c * xs]],
-                     dtype=complex)
-        if params.omega1 != 0.0:
-            u *= cmath.exp(-1j * params.omega1 * t)
-        return u
-    # Detuned levels: exp(M) = exp(mu) [cosh(delta) 1 + sinh(delta)/delta (M - mu 1)]
-    # for M = -i H_eff t with eigenvalues mu +- delta; cosh and sinhc below
-    # include the factor exp(mu).
-    m00 = -t * complex(g1, params.omega1)
-    m11 = -t * complex(g2, params.omega2)
-    m01 = -t * g12
-    mu, d = 0.5 * (m00 + m11), 0.5 * (m00 - m11)
-    q = d * d + m01 * m01  # delta^2
-    if abs(q) < _SERIES_BELOW:  # near the exceptional point delta = 0
-        scale = cmath.exp(mu)
+    mean_w = 0.5 * params.omega1 + 0.5 * params.omega2
+    half_dw = 0.5 * params.omega1 - 0.5 * params.omega2
+    m = 0.5 * (g1 + g2)
+    s = max(m, abs(half_dw))
+    ms, ws, gs = m / s, half_dw / s, g12 / s
+    d = complex(0.5 * (g1 - g2) / s, ws)
+    r2 = d * d + gs * gs
+    r = cmath.sqrt(r2)
+    rt = r * s * t
+    if abs(rt) < _SERIES_BELOW:
+        q = rt * rt
+        scale = cmath.exp(complex(-m * t, -mean_w * t))
         cosh = scale * (1 + q / 2 * (1 + q / 12 * (1 + q / 30 * (1 + q / 56))))
-        sinhc = scale * (1 + q / 6 * (1 + q / 20 * (1 + q / 42 * (1 + q / 72))))
+        # exp(-m t) sinh(r t) / r with r in units of s; scale comes first so
+        # that a t at which everything has decayed gives 0, not 0 * inf
+        sinhc = scale * t * s * (1 + q / 6 * (1 + q / 20 * (1 + q / 42 * (1 + q / 72))))
+        off = -sinhc * gs
+        return np.array([[cosh - sinhc * d, off], [off, cosh + sinhc * d]])
+    fast = m + s * r.real
+    one_minus_p2 = (1.0 - p) * (1.0 + p)
+    det = (g1 / s) * (g2 / s) * one_minus_p2
+    slow = g2 * (g1 / fast) * 2.0 * (one_minus_p2 * ms * ms + ws * ws) / (
+        ms * ms + det + ws * ws + abs(r2))
+    plus, minus = r + d, r - d
+    if abs(plus) >= abs(minus):
+        minus = gs * gs / plus
     else:
-        delta = cmath.sqrt(q)
-        up, down = cmath.exp(mu + delta), cmath.exp(mu - delta)
-        cosh, sinhc = 0.5 * (up + down), 0.5 * (up - down) / delta
-    return np.array([[cosh + sinhc * d, sinhc * m01], [sinhc * m01, cosh - sinhc * d]])
+        plus = gs * gs / minus
+    turn, half_over_r = s * r.imag, 0.5 / r
+    xf = cmath.exp(complex(-fast * t, -(mean_w + turn) * t)) * half_over_r
+    xs = cmath.exp(complex(-slow * t, -(mean_w - turn) * t)) * half_over_r
+    off = gs * (xf - xs)
+    return np.array([[xf * plus + xs * minus, off], [off, xf * minus + xs * plus]])
 
 
 def propagate_channel(params: VParams, t: float) -> np.ndarray:
@@ -229,8 +253,8 @@ def apply_channel(channel: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return hermitize((channel @ rho.reshape(-1)).reshape(dim, dim))
 
 
-def _limit_channel(params: VParams, rho0: np.ndarray | None = None) -> np.ndarray:
-    """The channel at t -> infinity: the no-jump assembly with U(infinity).
+def steady_channel(params: VParams, rho0: np.ndarray | None = None) -> np.ndarray:
+    """Infinite-time limit of the propagator: the no-jump assembly with U(infinity).
 
     U(infinity) projects onto the excited direction that never decays:
     the kernel of Gamma, when Gamma is singular (eta = 0 or maximal
@@ -238,9 +262,9 @@ def _limit_channel(params: VParams, rho0: np.ndarray | None = None) -> np.ndarra
     frequencies. Both are decided from the parameters, not from a
     numerically computed eigenvalue. A survivor
     with nonzero frequency keeps rotating against the ground level, so
-    the limit does not exist (NoConvergence): for the channel always,
-    for a state only when it carries coherence between the survivor and
-    the ground level.
+    the limit does not exist (NoConvergence): without rho0 always, with
+    rho0 only when rho0 carries coherence between the survivor and the
+    ground level.
     """
     u = np.zeros((2, 2), dtype=complex)
     # det(Gamma) = gamma^2 eta^2 (1 - p)(1 + p) is zero exactly when eta (1 - p)
@@ -259,21 +283,12 @@ def _limit_channel(params: VParams, rho0: np.ndarray | None = None) -> np.ndarra
     return _channel_from_no_jump(u)
 
 
-def steady_channel(params: VParams) -> np.ndarray:
-    """Infinite-time limit of the propagator.
-
-    Raises NoConvergence when a decay-free excited direction keeps
-    rotating against the ground level.
-    """
-    return _limit_channel(params)
-
-
 def steady_state(params: VParams, rho0: np.ndarray) -> np.ndarray:
     """Long-time limit of rho0: its weight on the decay-free excited
     direction (if any) and that direction's coherence with the ground
     level survive, everything else ends on the ground level."""
     rho0 = np.asarray(rho0, dtype=complex)
-    return apply_channel(_limit_channel(params, rho0), rho0)
+    return apply_channel(steady_channel(params, rho0), rho0)
 
 
 def alpha_beta(rho0: np.ndarray) -> tuple[float, float]:

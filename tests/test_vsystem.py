@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -13,16 +14,20 @@ from vicsim.oracles import (
     vec,
 )
 from vicsim.vsystem import (
+    UMBRELLA,
     NoConvergence,
     VParams,
+    _no_jump_propagator,
     alpha_beta,
     apply_channel,
+    basis_ket,
     dark_vector,
     excited_state,
     ground_state,
     propagate_channel,
     published_rho11_infinity,
     published_single_atom,
+    pure_state,
     steady_state,
     superposition_state,
 )
@@ -218,6 +223,49 @@ def test_channel_at_exceptional_point_matches_spectral():
         for t in (0.3, 2.0):
             out = apply_channel(propagate_channel(params, t), rho0)
             assert max_abs(out - propagate_spectral(params, rho0, t)) <= 1e-12
+
+
+@pytest.mark.parametrize("eta, t", [(1e-6, 1e11), (1e-8, 1e16), (1e-77, 33.0 / 1e-77**2)])
+def test_detuned_umbrella_keeps_its_slow_rate_at_long_times(eta, t):
+    # without cross-damping the umbrella population decays as exp(-2 eta^2 gamma t)
+    # whatever the detuning; a slow rate formed as a difference of the O(1)
+    # exponents loses it once t |H_eff| is large (or overflows delta^2)
+    params = VParams(eta=eta, p=0.0, omega2=1.0)
+    rho = apply_channel(propagate_channel(params, t), pure_state(basis_ket(UMBRELLA)))
+    expected = math.exp(-2.0 * eta * eta * t)
+    assert abs(rho[UMBRELLA, UMBRELLA].real - expected) <= 1e-12 * expected
+
+
+def _equal_frequency_reference(params, t):
+    """U(t) for omega1 == omega2 from the eigensystem of the real symmetric Gamma.
+
+    U = exp(-i omega t) exp(-Gamma t); the slow rate is det(Gamma) / fast
+    with det(Gamma) = gamma^2 eta^2 (1 - p)(1 + p).
+    """
+    g1, g2, g12, p = params.gamma1, params.gamma2, params.gamma12, params.p
+    half_gap = 0.5 * (g1 - g2)
+    fast = 0.5 * (g1 + g2) + math.hypot(half_gap, g12)
+    slow = g2 * (1.0 - p) * (1.0 + p) * (g1 / fast)
+    theta = 0.5 * math.atan2(g12, half_gap)  # (cos, sin) is the fast direction
+    c, s = math.cos(theta), math.sin(theta)
+    xf, xs = math.exp(-fast * t), math.exp(-slow * t)
+    off = c * s * (xf - xs)
+    u = np.array([[c * c * xf + s * s * xs, off], [off, s * s * xf + c * c * xs]], dtype=complex)
+    return u * np.exp(-1j * params.omega1 * t)
+
+
+def test_no_jump_propagator_matches_the_equal_frequency_eigensystem():
+    grid = itertools.product(
+        (0.0, 1e-8, 0.3, 1.0 / math.sqrt(3.0), 1.0, 5.0, 1e3),  # eta
+        (0.0, 0.5, 1.0 - 1e-9, 1.0 - 1e-15, 1.0),  # p
+        (0.0, 0.7),  # omega1 = omega2
+        (0.5, 1.0, 2.0),  # gamma
+        (0.0, 1e-3, 1.0, 30.0, 1e6, 1e12),  # t
+    )
+    for eta, p, omega, gamma, t in grid:
+        params = VParams(gamma=gamma, eta=eta, p=p, omega1=omega, omega2=omega)
+        error = max_abs(_no_jump_propagator(params, t) - _equal_frequency_reference(params, t))
+        assert error <= 1e-15, (params, t)
 
 
 def test_channel_agrees_with_spectral_at_full_interference():
