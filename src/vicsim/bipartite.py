@@ -32,6 +32,10 @@ from .vsystem import VParams, hermitize, propagate_channel, steady_channel
 PAIR_DIM = 9
 # Pair-space indices of |1A1B>, |1A3B>, |3A1B>, |3A3B>, in that basis order.
 QUBIT_BLOCK = (0, 2, 6, 8)
+_QUBIT_INDEX = np.array(QUBIT_BLOCK)
+# Lambda_A ox Lambda_B on T[i, k, j, l] = rho[3i+k, 3j+l], alone and on stacks.
+_PAIR_MAP = "ijmn,klpq,mpnq->ikjl"
+_PAIR_MAP_STACKED = "...ijmn,...klpq,...mpnq->...ikjl"
 
 
 class ZeroTrace(ValueError):
@@ -75,13 +79,22 @@ def apply_pair_channel(channel_a: np.ndarray, channel_b: np.ndarray,
     """Act with Lambda_A ox Lambda_B on a 9x9 pair matrix.
 
     The pair matrix reshapes to T[i, k, j, l] = rho[3i+k, 3j+l]; each
-    channel is a 9x9 map on its atom's (row, column) index pair.
+    channel is a 9x9 map on its atom's (row, column) index pair. Any
+    argument may carry leading stack axes (one channel per time, say);
+    they broadcast, and the result carries them too.
     """
-    a4 = np.asarray(channel_a, dtype=complex).reshape(3, 3, 3, 3)
-    b4 = np.asarray(channel_b, dtype=complex).reshape(3, 3, 3, 3)
-    r4 = np.asarray(rho_pair, dtype=complex).reshape(3, 3, 3, 3)
-    out = np.einsum("ijmn,klpq,mpnq->ikjl", a4, b4, r4)
-    return hermitize(out.reshape(PAIR_DIM, PAIR_DIM))
+    a4, b4, r4 = _split(channel_a), _split(channel_b), _split(rho_pair)
+    stacked = a4.ndim + b4.ndim + r4.ndim > 12
+    # Broadcasting and an optimised contraction path pay off only on
+    # stacks: either slows the single-matrix call.
+    out = np.einsum(_PAIR_MAP_STACKED if stacked else _PAIR_MAP, a4, b4, r4, optimize=stacked)
+    return hermitize(out.reshape(out.shape[:-4] + (PAIR_DIM, PAIR_DIM)))
+
+
+def _split(m: np.ndarray) -> np.ndarray:
+    """View each trailing 9x9 matrix as its 3x3x3x3 tensor."""
+    m = np.asarray(m, dtype=complex)
+    return m.reshape(m.shape[:-2] + (3, 3, 3, 3))
 
 
 def evolve_pair(params_a: VParams, params_b: VParams,
@@ -100,9 +113,9 @@ def steady_pair(params_a: VParams, params_b: VParams, rho0: np.ndarray) -> np.nd
 
 
 def qubit_block(rho_pair: np.ndarray) -> np.ndarray:
-    """Unnormalized 4x4 block over levels {|1>, |3>} of each atom."""
-    idx = np.array(QUBIT_BLOCK)
-    return np.asarray(rho_pair, dtype=complex)[np.ix_(idx, idx)].copy()
+    """Unnormalized 4x4 block over levels {|1>, |3>} of each atom, of a pair
+    matrix or of each matrix in a stack."""
+    return np.asarray(rho_pair, dtype=complex)[..., _QUBIT_INDEX, :][..., _QUBIT_INDEX]
 
 
 def project_to_qubits(rho_pair: np.ndarray, min_trace: float = 1e-14) -> TwoQubitState:
@@ -118,8 +131,10 @@ def project_to_qubits(rho_pair: np.ndarray, min_trace: float = 1e-14) -> TwoQubi
     return TwoQubitState(rho=block / trace, pre_norm_trace=trace)
 
 
-def published_pair_elements(params: VParams, kind: BellKind, t: float) -> dict[str, float]:
-    """Published closed-form matrix elements of the projected pair state.
+def published_pair_elements(params: VParams, kind: BellKind,
+                            t: float | np.ndarray) -> dict[str, float | np.ndarray]:
+    """Published closed-form matrix elements of the projected pair state at
+    t, a time or an array of times (numpy scalars or arrays).
 
     Values are unnormalized (the printed forms are divided by the
     projected trace only at readout). For the doubly-excited Bell state
@@ -129,22 +144,25 @@ def published_pair_elements(params: VParams, kind: BellKind, t: float) -> dict[s
     known internal inconsistencies of the printed forms (the rho11
     normalization at t = 0, the rho22 long-time limit away from eta = 1)
     are reproduced as printed and surfaced by the compare tooling.
+    Powers of x are products, so a time gives the same bits alone as in
+    an array.
     """
     eta2 = params.eta**2
-    x = math.exp(-params.bright_rate * t)
+    x = np.exp(-params.bright_rate * t)
+    x2 = x * x
+    x3, x4 = x2 * x, x2 * x2
+    # psi's rho14 and phi's rho23 are printed as the same form
+    root = eta2 + x
+    coherence = root * root / (2.0 * (1.0 + eta2) ** 2)
     if kind is BellKind.PSI:
         pref = 1.0 / (8.0 * (1.0 + eta2))
         rho11 = pref * (
             eta2**2
-            + x**4
-            + 2.0 * (1.0 + eta2) * x**3
-            + (1.0 + eta2**2 + 4.0 * eta2) * x**2
+            + x4
+            + 2.0 * (1.0 + eta2) * x3
+            + (1.0 + eta2**2 + 4.0 * eta2) * x2
             + 2.0 * eta2 * (1.0 + eta2) * x
         )
-        rho22 = pref * (
-            eta2 - x**4 - (1.0 + eta2) * x**3 + (1.0 - eta2) * x**2 + (1.0 + eta2) * x
-        )
-        rho14 = (eta2 + x) ** 2 / (2.0 * (1.0 + eta2) ** 2)
-        return {"rho11": rho11, "rho22": rho22, "rho33": rho22, "rho14": rho14}
-    rho23 = (eta2 + x) ** 2 / (2.0 * (1.0 + eta2) ** 2)
-    return {"rho23": rho23}
+        rho22 = pref * (eta2 - x4 - (1.0 + eta2) * x3 + (1.0 - eta2) * x2 + (1.0 + eta2) * x)
+        return {"rho11": rho11, "rho22": rho22, "rho33": rho22, "rho14": coherence}
+    return {"rho23": coherence}

@@ -123,18 +123,17 @@ def _signed_point(params: VParams, kind: BellKind, rho0: np.ndarray,
     return signed, elements
 
 
-def _published_branch(pub: dict[str, float], kind: BellKind,
-                      trace: float) -> tuple[float, dict[str, float]]:
+def _published_branch(pub: dict, kind: BellKind, trace: float) -> tuple[float, dict]:
     """Signed concurrence of the published elements divided by ``trace``.
 
-    Returns the value and the divided elements it was read from. The
-    trace is positive, so ``trace = 1`` (the unnormalised elements) gives
-    a value of the same sign.
+    Returns the value and the divided elements it was read from, scalars
+    or arrays as ``pub`` holds. The trace is positive, so ``trace = 1``
+    (the unnormalised elements) gives a value of the same sign.
     """
     if kind is BellKind.PSI:
         rho14, rho22, rho33 = (pub[key] / trace for key in ("rho14", "rho22", "rho33"))
         elements = {"rho14_abs": rho14, "rho23_abs": 0.0, "rho22": rho22, "rho33": rho33}
-        return 2.0 * (rho14 - math.sqrt(max(rho22, 0.0) * max(rho33, 0.0))), elements
+        return 2.0 * (rho14 - np.sqrt(np.maximum(rho22, 0.0) * np.maximum(rho33, 0.0))), elements
     # The doubly-excited population is identically zero for this initial
     # state, so the outer branch reduces to |rho23|.
     rho23 = pub["rho23"] / trace
@@ -248,18 +247,21 @@ def esd_time(
     if method == "paper":
         # The normalising trace is positive, so the unnormalised published
         # branch has the sign of the normalised one that the curve reads.
-        def signed_at(gamma_t: float) -> float:
+        def signed_at(gamma_t):
             pub = published_pair_elements(params, kind, gamma_t / params.gamma)
             return _published_branch(pub, kind, 1.0)[0]
     else:
-        def signed_at(gamma_t: float) -> float:
-            return _signed_point(params, kind, rho0, gamma_t, method)[0]
+        signed_at = np.vectorize(
+            lambda gamma_t: _signed_point(params, kind, rho0, gamma_t, method)[0], otypes=[float])
     return _scan_for_death(signed_at, threshold, horizon, samples)
 
 
-def _scan_for_death(signed_at: Callable[[float], float], threshold: float,
+def _scan_for_death(signed_at: Callable, threshold: float,
                     horizon: float, samples: int) -> EsdResult:
     """Scan ``signed_at(gamma_t)`` on ``samples`` points of [0, horizon].
+
+    ``signed_at`` takes a gamma_t or an array of them, elementwise: the
+    scan reads the whole grid in one call, the bisection one point a call.
 
     True finite-time death means the signed X-branch argument crosses
     zero, the (clamped) concurrence stays below ``threshold`` through the
@@ -271,7 +273,7 @@ def _scan_for_death(signed_at: Callable[[float], float], threshold: float,
     the first dead one.
     """
     grid = np.linspace(0.0, horizon, samples)
-    signed = np.array([signed_at(g) for g in grid])
+    signed = signed_at(grid)
     dead = signed <= 0.0
     if not dead.any():
         return EsdResult("asymptotic_zero")

@@ -173,6 +173,12 @@ def _channel_from_no_jump(u: np.ndarray) -> np.ndarray:
     return s
 
 
+def _phase_overflow(phase: str, t: float) -> ValueError:
+    """The error for a level phase omega * t beyond the largest float, which
+    cmath.exp cannot take even when its decay factor is finite."""
+    return ValueError(f"the {phase} of the no-jump propagator overflows a float at t = {t!r}")
+
+
 def _no_jump_propagator(params: VParams, t: float) -> np.ndarray:
     """U(t) = exp(-i H_eff t) = exp(-A t) on the excited levels, A = Gamma + i diag(omega).
 
@@ -211,7 +217,10 @@ def _no_jump_propagator(params: VParams, t: float) -> np.ndarray:
     rt = r * s * t
     if abs(rt) < _SERIES_BELOW:
         q = rt * rt
-        scale = cmath.exp(complex(-m * t, -mean_w * t))
+        try:
+            scale = cmath.exp(complex(-m * t, -mean_w * t))
+        except ValueError:  # cmath.exp rejects an infinite phase
+            raise _phase_overflow("common phase (mean frequency) * t", t) from None
         cosh = scale * (1 + q / 2 * (1 + q / 12 * (1 + q / 30 * (1 + q / 56))))
         # exp(-m t) sinh(r t) / r with r in units of s; scale comes first so
         # that a t at which everything has decayed gives 0, not 0 * inf
@@ -229,8 +238,13 @@ def _no_jump_propagator(params: VParams, t: float) -> np.ndarray:
     else:
         plus = gs * gs / minus
     turn, half_over_r = s * r.imag, 0.5 / r
-    xf = cmath.exp(complex(-fast * t, -(mean_w + turn) * t)) * half_over_r
-    xs = cmath.exp(complex(-slow * t, -(mean_w - turn) * t)) * half_over_r
+    try:
+        xf = cmath.exp(complex(-fast * t, -(mean_w + turn) * t)) * half_over_r
+        xs = cmath.exp(complex(-slow * t, -(mean_w - turn) * t)) * half_over_r
+    except ValueError:  # cmath.exp rejects an infinite phase
+        if math.isinf((mean_w + turn) * t):
+            raise _phase_overflow("fast mode's phase (mean frequency + splitting) * t", t) from None
+        raise _phase_overflow("slow mode's phase (mean frequency - splitting) * t", t) from None
     off = gs * (xf - xs)
     return np.array([[xf * plus + xs * minus, off], [off, xf * minus + xs * plus]])
 
@@ -243,8 +257,8 @@ def propagate_channel(params: VParams, t: float) -> np.ndarray:
 
 
 def hermitize(m: np.ndarray) -> np.ndarray:
-    """Hermitian part (m + m^dagger) / 2."""
-    return (m + m.conj().T) / 2.0
+    """Hermitian part (m + m^dagger) / 2 of a matrix or of each matrix in a stack."""
+    return (m + m.conj().swapaxes(-1, -2)) / 2.0
 
 
 def apply_channel(channel: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -303,15 +317,18 @@ def alpha_beta(rho0: np.ndarray) -> tuple[float, float]:
 
 
 class PublishedSingleAtom(NamedTuple):
-    """The three single-atom matrix elements given in closed form."""
+    """The three single-atom matrix elements given in closed form: numpy
+    scalars for one time, arrays for an array of times."""
 
-    rho11: float
-    rho33: float
-    rho13: complex
+    rho11: float | np.ndarray
+    rho33: float | np.ndarray
+    rho13: complex | np.ndarray
 
 
-def published_single_atom(params: VParams, rho0: np.ndarray, t: float) -> PublishedSingleAtom:
-    """Evaluate the published single-atom closed forms verbatim.
+def published_single_atom(params: VParams, rho0: np.ndarray,
+                          t: float | np.ndarray) -> PublishedSingleAtom:
+    """Evaluate the published single-atom closed forms verbatim at t, a time
+    or an array of times.
 
     Transcription-faithful: the expressions are reproduced exactly as
     printed for the maximal-interference, degenerate case, with no
@@ -321,7 +338,7 @@ def published_single_atom(params: VParams, rho0: np.ndarray, t: float) -> Publis
     """
     rho0 = np.asarray(rho0, dtype=complex)
     eta2 = params.eta**2
-    x = math.exp(-params.bright_rate * t)
+    x = np.exp(-params.bright_rate * t)
     x2 = x * x
     al, be = alpha_beta(rho0)
     rho11 = (
@@ -331,7 +348,7 @@ def published_single_atom(params: VParams, rho0: np.ndarray, t: float) -> Publis
     )
     rho33 = 1.0 - x2 * al - be
     rho13 = ((eta2 + x) * rho0[0, 2] - params.eta * (1.0 - x) * rho0[1, 2]) / (1.0 + eta2)
-    return PublishedSingleAtom(float(rho11), float(rho33), complex(rho13))
+    return PublishedSingleAtom(rho11, rho33, rho13)
 
 
 def published_rho11_infinity(params: VParams, rho0: np.ndarray) -> float:

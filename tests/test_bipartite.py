@@ -6,6 +6,7 @@ import pytest
 from vicsim.bipartite import (
     BellKind,
     ZeroTrace,
+    apply_pair_channel,
     bell_state,
     evolve_pair,
     product_state,
@@ -15,7 +16,7 @@ from vicsim.bipartite import (
     steady_pair,
 )
 from vicsim.oracles import evolve_pair_joint, joint_liouvillian, rk4_evolve
-from vicsim.vsystem import VParams
+from vicsim.vsystem import VParams, hermitize, propagate_channel
 from util import max_abs, random_density
 
 
@@ -210,3 +211,43 @@ def test_published_population_mismatch_away_from_unit_eta():
     block = qubit_block(evolve_pair(params, params, bell_state(BellKind.PSI), 60.0))
     assert pub["rho22"] == pytest.approx(1.0 / 12.0, abs=1e-10)
     assert block[1, 1].real == pytest.approx(2.0 / 27.0, abs=1e-10)
+
+
+# ------------------------------------------------------------------ stacks
+
+def test_stacked_pair_map_equals_its_per_time_calls():
+    params_a, params_b = VParams(eta=0.7, p=1.0), VParams(eta=1.3, p=0.4, omega1=0.2)
+    times = np.linspace(0.0, 6.0, 11)
+    chan_a = np.stack([propagate_channel(params_a, t) for t in times])
+    chan_b = np.stack([propagate_channel(params_b, t) for t in times])
+    rho0 = random_density(np.random.default_rng(5), 9)
+    stacked = apply_pair_channel(chan_a, chan_b, rho0)
+    assert stacked.shape == (len(times), 9, 9)
+    for i in range(len(times)):
+        assert max_abs(stacked[i] - apply_pair_channel(chan_a[i], chan_b[i], rho0)) <= 1e-15
+    # one channel broadcasts against a stack of the other atom's
+    mixed = apply_pair_channel(chan_a[3], chan_b, rho0)
+    for i in range(len(times)):
+        assert max_abs(mixed[i] - apply_pair_channel(chan_a[3], chan_b[i], rho0)) <= 1e-15
+
+
+def test_stacked_hermitize_and_qubit_block_equal_their_per_matrix_calls():
+    rng = np.random.default_rng(8)
+    stack = rng.normal(size=(2, 5, 9, 9)) + 1j * rng.normal(size=(2, 5, 9, 9))
+    herm, block = hermitize(stack), qubit_block(stack)
+    assert block.shape == (2, 5, 4, 4)
+    for index in np.ndindex(2, 5):
+        assert np.array_equal(herm[index], hermitize(stack[index]))
+        assert np.array_equal(block[index], qubit_block(stack[index]))
+
+
+@pytest.mark.parametrize("kind", [BellKind.PSI, BellKind.PHI])
+def test_published_pair_elements_take_an_array_of_times(kind):
+    params = VParams(eta=0.45, gamma=2.0, p=1.0)
+    times = np.linspace(0.0, 25.0, 101)
+    batched = published_pair_elements(params, kind, times)
+    for i, t in enumerate(times):
+        alone = published_pair_elements(params, kind, t)
+        assert alone.keys() == batched.keys()
+        for key, value in alone.items():
+            assert batched[key][i] == value, (key, t)

@@ -1,14 +1,31 @@
 import importlib.util
+import itertools
 import json
 import math
 import subprocess
 import sys
+import tracemalloc
 
+import numpy as np
 import pytest
 
 import vicsim.cli
-from vicsim.cli import main
-from vicsim.vsystem import propagate_channel
+from vicsim.bipartite import (
+    BellKind,
+    apply_pair_channel,
+    bell_state,
+    published_pair_elements,
+    qubit_block,
+)
+from vicsim.cli import COMPARE_CHUNK, main
+from vicsim.vsystem import (
+    VParams,
+    apply_channel,
+    excited_state,
+    propagate_channel,
+    published_single_atom,
+    superposition_state,
+)
 
 SQRT2 = "1.4142135623730951"
 
@@ -250,6 +267,76 @@ def test_compare_builds_one_channel_per_time(capsys, monkeypatch):
     assert len(calls) == len(set(calls)) == 17
 
 
+def _per_time_compare(params, times):
+    """The audit read one time at a time: the deviations compare reports."""
+    singles = {"excited": excited_state(), "superposition": superposition_state()}
+    psi0, phi0 = bell_state(BellKind.PSI), bell_state(BellKind.PHI)
+    worst = {
+        "excited": dict.fromkeys(("rho11", "rho33", "rho13"), 0.0),
+        "superposition": dict.fromkeys(("rho11", "rho33", "rho13"), 0.0),
+        "psi": dict.fromkeys(("rho14", "rho22", "rho33", "rho11_half_printed"), 0.0),
+        "phi": {"rho23": 0.0},
+    }
+
+    def note(section, key, deviation):
+        worst[section][key] = max(worst[section][key], deviation)
+
+    for t in times:
+        chan = propagate_channel(params, t)
+        for name, rho0 in singles.items():
+            rho = apply_channel(chan, rho0)
+            pub = published_single_atom(params, rho0, t)
+            note(name, "rho11", abs(pub.rho11 - rho[0, 0].real))
+            note(name, "rho33", abs(pub.rho33 - rho[2, 2].real))
+            note(name, "rho13", abs(pub.rho13 - rho[0, 2]))
+        psi = qubit_block(apply_pair_channel(chan, chan, psi0))
+        pub = published_pair_elements(params, BellKind.PSI, t)
+        note("psi", "rho14", abs(pub["rho14"] - abs(psi[0, 3])))
+        note("psi", "rho22", abs(pub["rho22"] - psi[1, 1].real))
+        note("psi", "rho33", abs(pub["rho33"] - psi[2, 2].real))
+        note("psi", "rho11_half_printed", abs(pub["rho11"] / 2.0 - psi[0, 0].real))
+        phi = qubit_block(apply_pair_channel(chan, chan, phi0))
+        pub = published_pair_elements(params, BellKind.PHI, t)
+        note("phi", "rho23", abs(pub["rho23"] - abs(phi[1, 2])))
+    return worst
+
+
+@pytest.mark.parametrize("eta, gamma", itertools.product(
+    (0.0, 0.5, 1.0 / math.sqrt(3.0), 1.0, math.sqrt(2.0), 3.0), (0.5, 1.0, 2.0)))
+def test_compare_matches_the_per_time_audit(capsys, eta, gamma):
+    params = VParams(gamma=gamma, eta=eta, p=1.0)
+    for steps in (2, 17, COMPARE_CHUNK - 1, COMPARE_CHUNK, COMPARE_CHUNK + 1, 3 * COMPARE_CHUNK + 5):
+        code, out, _ = run_cli(capsys, "compare", "--eta", repr(eta), "--gamma", repr(gamma),
+                               "--steps", str(steps))
+        assert code == 0
+        report = json.loads(out)
+        got = {
+            "excited": report["single_atom"]["excited"],
+            "superposition": report["single_atom"]["superposition"],
+            "psi": {key: report["pair_psi"][key] for key in
+                    ("rho14", "rho22", "rho33", "rho11_half_printed")},
+            "phi": report["pair_phi"],
+        }
+        want = _per_time_compare(params, np.linspace(0.0, 10.0, steps) / gamma)
+        for section, values in want.items():
+            assert list(got[section]) == list(values)
+            for key, value in values.items():
+                assert abs(got[section][key] - value) <= 1e-15, (steps, section, key)
+
+
+def test_compare_temporaries_stay_bounded(capsys):
+    # a chunk of COMPARE_CHUNK times at a time: the whole 50-chunk grid at once
+    # would stack ~90 MB of channels and pair states
+    tracemalloc.start()
+    try:
+        code, _, _ = run_cli(capsys, "compare", "--steps", str(50 * COMPARE_CHUNK))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 5e6
+
+
 def test_compare_requires_full_interference(capsys):
     code, _, err = run_cli(capsys, "compare", "--p", "0.5")
     assert code == 2
@@ -364,6 +451,16 @@ def test_invalid_config_single_line_diagnostic(capsys, args):
     assert code == 2
     assert err.startswith("error:")
     assert err.strip() and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["curve", "single", "compare"])
+def test_unallocatable_grid_is_a_diagnostic(capsys, command):
+    # 1e17 samples need 8e17 bytes, beyond any 64-bit address space, so the
+    # allocation fails at once and touches no memory
+    code, out, err = run_cli(capsys, command, "--steps", "100000000000000000")
+    assert code == 2 and out == ""
+    assert err.startswith("error: steps = 100000000000000000 is too many")
+    assert err.count("\n") == 1
 
 
 def test_module_entry_point():

@@ -255,11 +255,9 @@ def test_esd_published_mode_rejects_explicit_start():
 def _evolved_paper_esd(params, kind, threshold=1e-12, horizon=50.0, samples=1001):
     """esd under the published forms, every sample normalised by the evolved trace."""
     rho0 = bell_state(kind)
-
-    def signed_at(gamma_t):
-        return _signed_point(params, kind, rho0, gamma_t, "paper")[0]
-
-    limit = max(0.0, signed_at(horizon))
+    signed_at = np.vectorize(lambda gamma_t: _signed_point(params, kind, rho0, gamma_t, "paper")[0],
+                             otypes=[float])
+    limit = max(0.0, float(signed_at(horizon)))
     if limit > 10.0 * threshold:
         return EsdResult("asymptotic_positive", concurrence_limit=limit)
     return _scan_for_death(signed_at, threshold, horizon, samples)

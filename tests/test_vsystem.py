@@ -236,6 +236,17 @@ def test_detuned_umbrella_keeps_its_slow_rate_at_long_times(eta, t):
     assert abs(rho[UMBRELLA, UMBRELLA].real - expected) <= 1e-12 * expected
 
 
+@pytest.mark.parametrize("params, t", [
+    (VParams(gamma=1.0, eta=1e-100, p=0.5, omega1=1e300, omega2=-1e300), 1e12),
+    (VParams(eta=0.0, p=0.5, omega2=1e10), 1e300),
+    (VParams(eta=1.0, p=0.0, omega1=1e308, omega2=1e308), 10.0),  # the series branch
+])
+def test_overflowing_phase_is_named(params, t):
+    # a level phase omega * t beyond the largest float has no finite exp
+    with pytest.raises(ValueError, match=r"phase \(mean frequency.* overflows a float at t = "):
+        propagate_channel(params, t)
+
+
 def _equal_frequency_reference(params, t):
     """U(t) for omega1 == omega2 from the eigensystem of the real symmetric Gamma.
 
@@ -401,6 +412,17 @@ def test_published_agrees_with_oracle_at_unit_eta():
         assert abs(pub.rho11 - rho[0, 0].real) <= 1e-8
         assert abs(pub.rho33 - rho[2, 2].real) <= 1e-8
         assert abs(pub.rho13 - rho[0, 2]) <= 1e-8
+
+
+def test_published_single_atom_takes_an_array_of_times():
+    params = VParams(eta=0.7, p=1.0)
+    times = np.linspace(0.0, 12.0, 37)
+    for rho0 in sample_states():
+        batched = published_single_atom(params, rho0, times)
+        for i, t in enumerate(times):
+            alone = published_single_atom(params, rho0, t)
+            for field in ("rho11", "rho33", "rho13"):
+                assert getattr(batched, field)[i] == getattr(alone, field), (field, t)
 
 
 def test_published_long_time_deviation_reported_not_hidden():
