@@ -28,6 +28,7 @@ from .vsystem import (
     dark_vector,
     excited_state,
     ground_state,
+    no_jump_propagators,
     propagate_channel,
     published_rho11_infinity,
     published_single_atom,
@@ -37,10 +38,12 @@ from .vsystem import (
 )
 from .bipartite import (
     BellKind,
+    BellXElements,
     TwoQubitState,
     ZeroTrace,
     apply_pair_channel,
     bell_state,
+    bell_x_elements,
     evolve_pair,
     product_state,
     project_to_qubits,

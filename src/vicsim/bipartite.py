@@ -24,10 +24,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
-from .vsystem import VParams, hermitize, propagate_channel, steady_channel
+from .vsystem import VParams, hermitize, no_jump_propagators, propagate_channel, steady_channel
 
 PAIR_DIM = 9
 # Pair-space indices of |1A1B>, |1A3B>, |3A1B>, |3A3B>, in that basis order.
@@ -131,6 +132,46 @@ def project_to_qubits(rho_pair: np.ndarray, min_trace: float = 1e-14) -> TwoQubi
     return TwoQubitState(rho=block / trace, pre_norm_trace=trace)
 
 
+class BellXElements(NamedTuple):
+    """Unnormalized X elements of an evolved, projected Bell pair, arrays
+    over the times. ``coherence`` is |rho14| for psi and |rho23| for phi;
+    the other antidiagonal pair is zero."""
+
+    rho11: np.ndarray
+    rho22: np.ndarray
+    rho33: np.ndarray
+    rho44: np.ndarray
+    coherence: np.ndarray
+
+    @property
+    def trace(self) -> np.ndarray:
+        """The pre-normalization trace of the qubit block."""
+        return self.rho11 + self.rho22 + self.rho33 + self.rho44
+
+
+def bell_x_elements(params: VParams, kind: BellKind, t: np.ndarray) -> BellXElements:
+    """The qubit block of a Bell pair of identical atoms at each time of t,
+    read from the 2x2 no-jump propagator U alone, with no pair evolution.
+
+    Jumps only feed the ground level |3>, so (after Bellomo, Lo Franco and
+    Compagno, PRL 99, 160502 (2007)) the block is a polynomial in two
+    single-atom numbers: s = |U11|^2 and P = |U11|^2 + |U21|^2, the excited
+    population of an atom started in |1>:
+
+        psi: rho11 = s^2/2, rho22 = rho33 = s (1 - P)/2,
+             rho44 = (1 + (1 - P)^2)/2, |rho14| = s/2;
+        phi: rho22 = rho33 = |rho23| = s/2, rho44 = 1 - P, rho11 = 0.
+    """
+    u = no_jump_propagators(params, t)
+    s = (u[..., 0, 0] * u[..., 0, 0].conj()).real
+    loss = 1.0 - (s + (u[..., 1, 0] * u[..., 1, 0].conj()).real)  # 1 - P
+    half_s = 0.5 * s
+    if kind is BellKind.PSI:
+        side = half_s * loss
+        return BellXElements(half_s * s, side, side, 0.5 * (1.0 + loss * loss), half_s)
+    return BellXElements(np.zeros_like(s), half_s, half_s, loss, half_s)
+
+
 def published_pair_elements(params: VParams, kind: BellKind,
                             t: float | np.ndarray) -> dict[str, float | np.ndarray]:
     """Published closed-form matrix elements of the projected pair state at
@@ -140,29 +181,29 @@ def published_pair_elements(params: VParams, kind: BellKind,
     projected trace only at readout). For the doubly-excited Bell state
     the published elements are rho11, rho22 = rho33 and rho14; for the
     single-excitation Bell state only rho23 is given. rho44 is never
-    printed and always comes from the evolution. Transcription-faithful:
-    known internal inconsistencies of the printed forms (the rho11
-    normalization at t = 0, the rho22 long-time limit away from eta = 1)
-    are reproduced as printed and surfaced by the compare tooling.
-    Powers of x are products, so a time gives the same bits alone as in
-    an array.
+    printed: the readout takes the trace from ``bell_x_elements``.
+    Transcription-faithful: known internal inconsistencies of the printed
+    forms (the rho11 normalization at t = 0, the rho22 long-time limit
+    away from eta = 1) are reproduced as printed and surfaced by the
+    compare tooling. Every term is divided by 1 + eta^2 before anything
+    is squared, so the forms stay finite at any valid eta. Powers of x
+    are products, so a time gives the same bits alone as in an array.
     """
     eta2 = params.eta**2
+    e = 1.0 + eta2
     x = np.exp(-params.bright_rate * t)
     x2 = x * x
     x3, x4 = x2 * x, x2 * x2
     # psi's rho14 and phi's rho23 are printed as the same form
-    root = eta2 + x
-    coherence = root * root / (2.0 * (1.0 + eta2) ** 2)
+    root = (eta2 + x) / e
+    coherence = 0.5 * root * root
     if kind is BellKind.PSI:
-        pref = 1.0 / (8.0 * (1.0 + eta2))
-        rho11 = pref * (
-            eta2**2
-            + x4
-            + 2.0 * (1.0 + eta2) * x3
-            + (1.0 + eta2**2 + 4.0 * eta2) * x2
-            + 2.0 * eta2 * (1.0 + eta2) * x
-        )
-        rho22 = pref * (eta2 - x4 - (1.0 + eta2) * x3 + (1.0 - eta2) * x2 + (1.0 + eta2) * x)
+        # the printed polynomials over 8 (1 + eta^2), term by term, so that no
+        # partial sum exceeds rho11 itself; the x^2 coefficient
+        # (1 + 4 eta^2 + eta^4)/(1 + eta^2) is e + 2 eta^2/e
+        a = eta2 / e
+        rho11 = (0.125 * eta2 * a + 0.125 * x4 / e + 0.25 * x3 + 0.125 * (e + 2.0 * a) * x2
+                 + 0.25 * eta2 * x)
+        rho22 = 0.125 * ((eta2 - x4 + (1.0 - eta2) * x2) / e + x - x3)
         return {"rho11": rho11, "rho22": rho22, "rho33": rho22, "rho14": coherence}
     return {"rho23": coherence}

@@ -168,8 +168,13 @@ def _grid(cfg: RunConfig) -> np.ndarray:
         raise ConfigError(f"steps = {cfg.steps} is too many: {exc}") from None
 
 
+# A non-finite report value raises ValueError, so it becomes a diagnostic
+# and never an invalid ``NaN`` or ``Infinity``.
+_JSON = json.JSONEncoder(indent=2, allow_nan=False)
+
+
 def _json_dump(report: dict) -> str:
-    return json.dumps(report, indent=2) + "\n"
+    return _JSON.encode(report) + "\n"
 
 
 def run_curve(cfg: RunConfig) -> int:
@@ -239,7 +244,8 @@ def run_steady(cfg: RunConfig) -> int:
     if kind is BellKind.PSI:
         denom = math.sqrt(max(rho[1, 1].real, 0.0) * max(rho[2, 2].real, 0.0))
         ratio = float(abs(rho[0, 3]) / denom) if denom > 1e-15 else None
-        ratio_published = 4.0 * cfg.eta**2 / (1.0 + cfg.eta**2)
+        eta2 = cfg.eta**2
+        ratio_published = 4.0 * (eta2 / (1.0 + eta2))
     report = {
         "eta": cfg.eta,
         "p": cfg.p,

@@ -21,6 +21,7 @@ import numpy as np
 from .bipartite import (
     BellKind,
     bell_state,
+    bell_x_elements,
     evolve_pair,
     project_to_qubits,
     published_pair_elements,
@@ -96,15 +97,10 @@ def _validate_grid(gamma_ts: np.ndarray) -> np.ndarray:
     return grid
 
 
-def _signed_point(params: VParams, kind: BellKind, rho0: np.ndarray,
-                  gamma_t: float, method: str) -> tuple[float, dict[str, float]]:
-    """Signed concurrence 2 max(X branches) at gamma_t, with the elements behind it.
-
-    method 'oracle' reads the evolved, projected state (checked to be
-    X-shaped). method 'paper' reads the published closed forms,
-    normalized by the projected trace, which always comes from the
-    evolution because it needs the never-printed rho44.
-    """
+def _signed_point(params: VParams, rho0: np.ndarray,
+                  gamma_t: float) -> tuple[float, dict[str, float]]:
+    """Signed concurrence 2 max(X branches) of the evolved, projected state
+    (checked to be X-shaped) at gamma_t, with the elements behind it."""
     t = gamma_t / params.gamma
     projected = project_to_qubits(evolve_pair(params, params, rho0, t))
     rho, trace = projected.rho, projected.pre_norm_trace
@@ -115,11 +111,28 @@ def _signed_point(params: VParams, kind: BellKind, rho0: np.ndarray,
         "rho33": float(rho[2, 2].real),
         "pre_norm_trace": trace,
     }
-    if method == "oracle":
-        inner, outer = x_branch_values(_check_x_form(rho))
-        return 2.0 * max(inner, outer), elements
-    signed, published = _published_branch(published_pair_elements(params, kind, t), kind, trace)
-    elements.update(published)
+    inner, outer = x_branch_values(_check_x_form(rho))
+    return 2.0 * max(inner, outer), elements
+
+
+def _paper_readout(params: VParams, kind: BellKind,
+                   gamma_ts: np.ndarray) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """Signed concurrence of the published elements at each of ``gamma_ts``,
+    with the elements behind it, all arrays.
+
+    The published forms are normalized by the projected trace, and phi's
+    rho22 and rho33 (never printed) are read, from ``bell_x_elements``:
+    the 2x2 no-jump propagator, with no pair evolution. No trace is near
+    zero: psi's is at least its rho44 >= 1/2, and phi's, 1 - |U21|^2, is
+    at least 3/4 at p = 1, where |U21| <= eta / (1 + eta^2).
+    """
+    times = gamma_ts / params.gamma
+    pair = bell_x_elements(params, kind, times)
+    trace = pair.trace
+    signed, elements = _published_branch(published_pair_elements(params, kind, times), kind, trace)
+    if kind is BellKind.PHI:
+        elements.update(rho22=pair.rho22 / trace, rho33=pair.rho33 / trace)
+    elements["pre_norm_trace"] = trace
     return signed, elements
 
 
@@ -155,16 +168,24 @@ def concurrence_curve(
 ) -> ConcurrenceCurve:
     """Concurrence of an evolving Bell state over a grid of gamma*t values.
 
-    method 'oracle' evolves the pair and measures; method 'paper'
-    evaluates the published closed-form elements (valid for p = 1 only)
-    against the evolved trace.
+    method 'oracle' evolves the pair and measures, one sample at a time.
+    method 'paper' evaluates the published closed-form elements (valid
+    for p = 1 only) over the whole grid at once, normalized by the trace
+    read from the 2x2 no-jump propagator (``_paper_readout``).
     """
     grid = _validate_grid(gamma_ts)
     _check_method(params, method)
+    if method == "paper":
+        signed, elements = _paper_readout(params, kind, grid)
+        columns = [np.broadcast_to(v, grid.shape).tolist() for v in elements.values()]
+        concurrence = np.where(signed > 0.0, signed, 0.0).tolist()
+        points = [ConcurrencePoint(gamma_t, c, dict(zip(elements, row)))
+                  for gamma_t, c, *row in zip(grid.tolist(), concurrence, *columns)]
+        return ConcurrenceCurve(points, params, kind, method)
     rho0 = bell_state(kind)
     points = []
     for gamma_t in grid:
-        signed, elements = _signed_point(params, kind, rho0, float(gamma_t), method)
+        signed, elements = _signed_point(params, rho0, float(gamma_t))
         points.append(ConcurrencePoint(float(gamma_t), max(0.0, signed), elements))
     return ConcurrenceCurve(points, params, kind, method)
 
@@ -210,12 +231,11 @@ def esd_time(
 
     Otherwise the signed X-branch argument is scanned on ``samples``
     (at least 2) points (see ``_scan_for_death``). A Bell start under
-    the published forms (method 'paper', p = 1 only) reads each sample
-    from the published elements alone, with no pair evolution; only its
-    limit evolves the pair once, at the horizon, for the normalising
-    trace. The scan of the evolved pair serves an explicit ``rho0``,
-    which the published forms do not cover, so it takes method 'oracle'
-    only.
+    the published forms (method 'paper', p = 1 only) evolves nothing: its
+    limit is the curve's readout at the horizon, and its scan reads the
+    published elements alone. The scan of the evolved pair serves an
+    explicit ``rho0``, which the published forms do not cover, so it
+    takes method 'oracle' only.
     """
     _check_method(params, method)
     if samples < 2:
@@ -227,22 +247,17 @@ def esd_time(
     if bell_start:
         rho0 = bell_state(kind)
     if method == "paper":
-        limit = max(0.0, _signed_point(params, kind, rho0, horizon, method)[0])
+        limit = max(0.0, float(_paper_readout(params, kind, np.array([horizon]))[0][0]))
     else:
         limit = concurrence_x(_steady_projected(params, rho0).rho)
     if limit > 10.0 * threshold:
         return EsdResult("asymptotic_positive", concurrence_limit=limit)
     if bell_start and method == "oracle":
-        # Two identical atoms under Lambda ox Lambda (Bellomo, Lo Franco and
-        # Compagno, PRL 99, 160502 (2007)): with U the no-jump propagator and
-        # P_e = |U11|^2 + |U21|^2 the excited population of an atom started
-        # in |1>, the live branch before normalisation is
-        #   psi: |rho14| - sqrt(rho22 rho33) = |U11|^2/2 - |U11|^2 (1 - P_e)/2
-        #                                    = |U11|^2 P_e / 2,
-        #   phi: |rho23| - sqrt(rho11 rho44) = |U11|^2 / 2   (rho11 == 0).
-        # Neither is a difference, and U11 is analytic in t with U11(0) = 1,
-        # so its zeros are isolated instants: no finite-time death exists at
-        # any (eta, p, omega), and a scan would only find rounding noise.
+        # By the elements of bipartite.bell_x_elements the live branch before
+        # normalisation is s P / 2 (psi) or s / 2 (phi), s = |U11|^2: neither
+        # is a difference, and U11 is analytic in t with U11(0) = 1, so its
+        # zeros are isolated instants: no finite-time death exists at any
+        # (eta, p, omega), and a scan would only find rounding noise.
         return EsdResult("asymptotic_zero")
     if method == "paper":
         # The normalising trace is positive, so the unnormalised published
@@ -251,8 +266,8 @@ def esd_time(
             pub = published_pair_elements(params, kind, gamma_t / params.gamma)
             return _published_branch(pub, kind, 1.0)[0]
     else:
-        signed_at = np.vectorize(
-            lambda gamma_t: _signed_point(params, kind, rho0, gamma_t, method)[0], otypes=[float])
+        signed_at = np.vectorize(lambda gamma_t: _signed_point(params, rho0, gamma_t)[0],
+                                 otypes=[float])
     return _scan_for_death(signed_at, threshold, horizon, samples)
 
 

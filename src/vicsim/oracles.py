@@ -112,13 +112,26 @@ def psd_sqrt(m: np.ndarray, floor: float = PSD_EIGENVALUE_FLOOR) -> np.ndarray:
 
 
 def expm(m: np.ndarray) -> np.ndarray:
-    """Matrix exponential (scaling-and-squaring, via scipy)."""
+    """Matrix exponential (scaling-and-squaring, via scipy).
+
+    A triangular m is exponentiated through the dense similar matrix h m h,
+    with h = 1 - 2 J/n (J all ones) the Householder reflection along
+    (1, ..., 1), which is its own inverse. scipy's triangular branch
+    divides differences of exponentials by differences of adjacent
+    diagonal entries, and returns NaN when these differ by a subnormal
+    amount (scipy issue 11839), as the Liouvillian's do at p = 0 with
+    omega2 = 5e-324.
+    """
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if m.shape[0] > MAX_DIM:
-        raise ValueError(f"dimension {m.shape[0]} exceeds supported maximum {MAX_DIM}")
-    return scipy.linalg.expm(m)
+    n = m.shape[0]
+    if n > MAX_DIM:
+        raise ValueError(f"dimension {n} exceeds supported maximum {MAX_DIM}")
+    if n < 2 or (np.any(np.triu(m, 1)) and np.any(np.tril(m, -1))):
+        return scipy.linalg.expm(m)
+    h = np.eye(n) - 2.0 / n
+    return h @ scipy.linalg.expm(h @ m @ h) @ h
 
 
 # ---------------------------------------------------------------- one atom

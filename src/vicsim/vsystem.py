@@ -249,11 +249,25 @@ def _no_jump_propagator(params: VParams, t: float) -> np.ndarray:
     return np.array([[xf * plus + xs * minus, off], [off, xf * minus + xs * plus]])
 
 
-def propagate_channel(params: VParams, t: float) -> np.ndarray:
-    """9x9 propagator vec(rho0) -> vec(rho(t)), closed form for every (eta, p, omega)."""
+def _check_time(t: float) -> None:
     if not 0.0 <= t < math.inf:
         raise ValueError(f"t must be finite and non-negative, got {t}")
+
+
+def propagate_channel(params: VParams, t: float) -> np.ndarray:
+    """9x9 propagator vec(rho0) -> vec(rho(t)), closed form for every (eta, p, omega)."""
+    _check_time(t)
     return _channel_from_no_jump(_no_jump_propagator(params, t))
+
+
+def no_jump_propagators(params: VParams, ts: np.ndarray) -> np.ndarray:
+    """The 2x2 no-jump propagator U(t) at each of the T times ``ts``, stacked
+    as (T, 2, 2). One scalar closed form per time, so U is written once."""
+    times = np.asarray(ts, dtype=float).reshape(-1).tolist()
+    for t in times:
+        _check_time(t)
+    stack = np.array([_no_jump_propagator(params, t) for t in times], dtype=complex)
+    return stack.reshape(-1, 2, 2)
 
 
 def hermitize(m: np.ndarray) -> np.ndarray:

@@ -251,3 +251,17 @@ def test_published_pair_elements_take_an_array_of_times(kind):
         assert alone.keys() == batched.keys()
         for key, value in alone.items():
             assert batched[key][i] == value, (key, t)
+
+
+@pytest.mark.parametrize("eta", [1e77, 1e100, 1.3e154])
+def test_published_pair_elements_stay_finite_at_the_largest_eta(eta):
+    # (1 + eta^2)^2 overflows a float from eta ~ 1.2e77, so every term is
+    # divided by 1 + eta^2 first
+    params = VParams(eta=eta, p=1.0)
+    psi = published_pair_elements(params, BellKind.PSI, np.array([0.0, 1.0]))
+    phi = published_pair_elements(params, BellKind.PHI, np.array([0.0, 1.0]))
+    # at t = 0 as printed: rho11 = (1 + eta^2)/2, rho22 = 0, rho14 = rho23 = 1/2;
+    # decayed: rho11 = eta^4 / (8 (1 + eta^2)), rho22 = eta^2 / (8 (1 + eta^2))
+    assert psi["rho11"].tolist() == pytest.approx([eta * eta / 2.0, eta * eta / 8.0], rel=1e-15)
+    assert psi["rho22"].tolist() == pytest.approx([0.0, 0.125], rel=1e-15, abs=1e-300)
+    assert psi["rho14"].tolist() == phi["rho23"].tolist() == pytest.approx([0.5, 0.5], rel=1e-15)

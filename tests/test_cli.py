@@ -18,6 +18,7 @@ from vicsim.bipartite import (
     qubit_block,
 )
 from vicsim.cli import COMPARE_CHUNK, main
+from vicsim.entanglement import EsdResult
 from vicsim.vsystem import (
     VParams,
     apply_channel,
@@ -183,6 +184,21 @@ def test_steady_psi_ratio_discrepancy_reported_side_by_side(capsys):
     report = json.loads(out)
     assert abs(report["ratio_rho14_over_sqrt_rho22_rho33"] - 3.0) <= 1e-9
     assert abs(report["ratio_published_formula"] - 8.0 / 3.0) <= 1e-12
+
+
+def test_steady_published_ratio_stays_finite_at_the_largest_eta(capsys):
+    # 4 eta^2 overflows here; 4 eta^2 / (1 + eta^2) is 4
+    code, out, _ = run_cli(capsys, "steady", "--bell", "psi", "--eta", "1e154")
+    assert code == 0
+    assert json.loads(out)["ratio_published_formula"] == 4.0
+
+
+def test_non_finite_report_value_is_a_diagnostic(capsys, monkeypatch):
+    monkeypatch.setattr(vicsim.cli, "esd_time", lambda *args, **kwargs: EsdResult(
+        "asymptotic_positive", concurrence_limit=math.nan))
+    code, out, err = run_cli(capsys, "esd")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_steady_phi_concurrence(capsys):

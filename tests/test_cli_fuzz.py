@@ -2,21 +2,25 @@
 
 Every run must exit 0 with nothing on stderr, or exit 2 with a one-line
 ``error:`` diagnostic; an exception escaping ``main`` fails the test.
-``--steps`` stays at most 200, so no run builds a large grid.
+A JSON report of a run that exits 0 must parse as strict JSON, with no
+``NaN`` or ``Infinity``. ``--steps`` stays at most 200, so no run builds
+a large grid.
 """
 
 import contextlib
 import io
+import json
 import os
 import tempfile
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from vicsim.cli import main
 
 NUMBERS = st.one_of(
     st.sampled_from(["nan", "inf", "-inf", "-1", "0", "-0", "1e-300", "1e300", "abc", "",
-                     "0.5", "1", "2", "3", "1e-9", "0.999999999", "1.5", "0x10"]),
+                     "0.5", "1", "2", "3", "1e-9", "0.999999999", "1.5", "0x10", "1e100",
+                     "1e154"]),
     st.floats(0.0, 3.0).map(repr),
     st.floats(allow_nan=True, allow_infinity=True).map(repr),
 )
@@ -27,8 +31,13 @@ CHOICES = {
     "format": st.sampled_from(["csv", "json", "xml"]),
     "initial": st.sampled_from(["product", "excited", "ground", "superposition", "bogus"]),
 }
+JSON_COMMANDS = ("steady", "compare", "esd")
 VALUES = {"gamma": NUMBERS, "eta": NUMBERS, "p": NUMBERS, "t-max": NUMBERS, "steps": STEPS,
           **CHOICES}
+
+
+def _reject_constant(name):
+    raise AssertionError(f"non-finite {name} in a JSON report")
 
 
 @st.composite
@@ -49,6 +58,12 @@ def _config_line(draw):
 @given(command=st.sampled_from(["curve", "single", "steady", "compare", "esd"]),
        flags=st.lists(_flag(), max_size=5),
        config=st.none() | st.lists(_config_line(), max_size=4))
+# eta near the top of its domain: squares of 1 + eta^2 once overflowed the
+# published pair forms, and 4 eta^2 the published steady ratio
+@example(command="curve", flags=[["--method", "paper"], ["--eta", "1e100"]], config=None)
+@example(command="esd", flags=[["--method", "paper"], ["--eta", "1e100"]], config=None)
+@example(command="compare", flags=[["--eta", "1e100"], ["--steps", "5"]], config=None)
+@example(command="steady", flags=[["--eta", "1e154"]], config=None)
 def test_cli_exits_cleanly_on_any_input(command, flags, config):
     with tempfile.TemporaryDirectory() as tmp:
         argv = [command] + [token for flag in flags for token in flag]
@@ -64,5 +79,7 @@ def test_cli_exits_cleanly_on_any_input(command, flags, config):
     assert code in (0, 2), argv
     if code == 0:
         assert message == "", argv
+        if command in JSON_COMMANDS:
+            json.loads(out.getvalue(), parse_constant=_reject_constant)
     else:
         assert message.startswith("error:") and message.count("\n") == 1, (argv, message)

@@ -1,14 +1,25 @@
+import contextlib
+import io
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import vicsim.entanglement
-from vicsim.bipartite import BellKind, bell_state, evolve_pair, product_state, project_to_qubits
+from vicsim.bipartite import (
+    BellKind,
+    bell_state,
+    evolve_pair,
+    product_state,
+    project_to_qubits,
+    published_pair_elements,
+)
+from vicsim.cli import main
 from vicsim.entanglement import (
     EsdResult,
     NotXForm,
+    _published_branch,
     _scan_for_death,
     _signed_point,
     concurrence_curve,
@@ -252,10 +263,43 @@ def test_esd_published_mode_rejects_explicit_start():
         esd_time(VParams(), BellKind.PSI, rho0=product_state(0, 0), method="paper")
 
 
+def _evolved_paper_point(params, kind, gamma_t):
+    """The published elements at gamma_t, normalised by the trace of the evolved
+    pair, with the evolved rho22 and rho33 where the forms print none."""
+    t = gamma_t / params.gamma
+    projected = project_to_qubits(evolve_pair(params, params, bell_state(kind), t))
+    rho, trace = projected.rho, projected.pre_norm_trace
+    elements = {"rho14_abs": abs(rho[0, 3]), "rho23_abs": abs(rho[1, 2]),
+                "rho22": rho[1, 1].real, "rho33": rho[2, 2].real, "pre_norm_trace": trace}
+    signed, published = _published_branch(published_pair_elements(params, kind, t), kind, trace)
+    elements.update(published)
+    return signed, elements
+
+
+_CURVE_KEYS = ("rho14_abs", "rho23_abs", "rho22", "rho33", "pre_norm_trace")
+
+
+@pytest.mark.parametrize("kind", list(BellKind))
+@pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("eta", [0.0, 0.3, 1.0 / math.sqrt(3.0), 1.0, 2.5])
+def test_paper_curve_matches_the_evolved_readout(eta, gamma, kind):
+    # the batched readout takes its trace from U; the reference evolves the pair
+    params = VParams(gamma=gamma, eta=eta, p=1.0)
+    for steps in (2, 21, 773):
+        grid = np.linspace(0.0, 10.0, steps)
+        curve = concurrence_curve(params, kind, grid, method="paper")
+        assert [pt.gamma_t for pt in curve.points] == grid.tolist()
+        for pt in curve.points:
+            signed, elements = _evolved_paper_point(params, kind, pt.gamma_t)
+            assert abs(pt.concurrence - max(0.0, signed)) <= 1e-12
+            assert list(pt.elements) == list(_CURVE_KEYS)
+            for key in _CURVE_KEYS:
+                assert abs(pt.elements[key] - elements[key]) <= 1e-12, (pt.gamma_t, key)
+
+
 def _evolved_paper_esd(params, kind, threshold=1e-12, horizon=50.0, samples=1001):
     """esd under the published forms, every sample normalised by the evolved trace."""
-    rho0 = bell_state(kind)
-    signed_at = np.vectorize(lambda gamma_t: _signed_point(params, kind, rho0, gamma_t, "paper")[0],
+    signed_at = np.vectorize(lambda gamma_t: _evolved_paper_point(params, kind, gamma_t)[0],
                              otypes=[float])
     limit = max(0.0, float(signed_at(horizon)))
     if limit > 10.0 * threshold:
@@ -282,22 +326,35 @@ _PAPER_ESD_CASES = [
 
 @pytest.mark.parametrize("kind, eta, gamma", _PAPER_ESD_CASES)
 def test_esd_published_scan_matches_the_evolved_scan(kind, eta, gamma):
-    # the trace-free published branch decides exactly as the normalised one
+    # the trace-free published branch decides exactly as the normalised one;
+    # the limit's trace comes from U, the reference's from the evolved pair
     params = VParams(gamma=gamma, eta=eta, p=1.0)
-    assert esd_time(params, kind, method="paper") == _evolved_paper_esd(params, kind)
+    got, want = esd_time(params, kind, method="paper"), _evolved_paper_esd(params, kind)
+    assert (got.kind, got.gamma_t_death) == (want.kind, want.gamma_t_death)
+    if want.concurrence_limit is None:
+        assert got.concurrence_limit is None
+    else:
+        assert abs(got.concurrence_limit - want.concurrence_limit) <= 1e-15
 
 
-def test_esd_published_scan_evolves_the_pair_once(monkeypatch):
-    calls = []
+def test_paper_method_evolves_nothing(monkeypatch):
+    def evolved(*args, **kwargs):
+        raise AssertionError("the paper method evolved the pair")
 
-    def counted(*args):
-        calls.append(args[-1])
-        return evolve_pair(*args)
-
-    monkeypatch.setattr(vicsim.entanglement, "evolve_pair", counted)
-    result = esd_time(VParams(eta=0.3, p=1.0), BellKind.PSI, method="paper")
-    assert result.kind == "vanishes_at"
-    assert calls == [50.0]  # the horizon, for the normalised limit
+    # every binding, in every vicsim module that imports them
+    for name in ("evolve_pair", "apply_pair_channel", "propagate_channel"):
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("vicsim") and hasattr(module, name):
+                monkeypatch.setattr(module, name, evolved)
+    runs = [["curve", "--method", "paper", "--eta", eta, "--bell", bell, "--steps", "50"]
+            for eta in ("0.3", "2") for bell in ("psi", "phi")]
+    # a scanned death, both positive limits and a limit below the threshold
+    runs += [["esd", "--method", "paper", "--eta", eta, "--bell", bell]
+             for eta, bell in (("0.3", "psi"), ("1", "psi"), ("1", "phi"), ("0", "psi"))]
+    for argv in runs:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            assert main(argv) == 0, (argv, err.getvalue())
 
 
 @pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
@@ -322,7 +379,7 @@ _OMEGA = st.one_of(st.just(0.0), st.floats(-3.0, 3.0))
 def test_bell_branch_is_a_product_of_single_atom_factors(kind, eta, p, omega1, omega2, gamma_t):
     # psi: |U11|^2 P_e / tr, phi: |U11|^2 / tr, with U the no-jump propagator
     params = VParams(eta=eta, p=p, omega1=omega1, omega2=omega2)
-    signed, elements = _signed_point(params, kind, bell_state(kind), gamma_t, "oracle")
+    signed, elements = _signed_point(params, bell_state(kind), gamma_t)
     chan = propagate_channel(params, gamma_t / params.gamma).real
     u11_sq, excited = chan[0, 0], chan[0, 0] + chan[4, 0]
     factor = u11_sq * excited if kind is BellKind.PSI else u11_sq

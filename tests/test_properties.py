@@ -10,9 +10,16 @@ import math
 from decimal import Decimal, localcontext
 
 import numpy as np
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from vicsim.bipartite import BellKind, bell_state, evolve_pair, project_to_qubits
+from vicsim.bipartite import (
+    BellKind,
+    bell_state,
+    bell_x_elements,
+    evolve_pair,
+    project_to_qubits,
+    qubit_block,
+)
 from vicsim.entanglement import concurrence_curve, concurrence_x
 from vicsim.oracles import concurrence_wootters, propagate_spectral
 from vicsim.vsystem import NoConvergence, VParams, apply_channel, propagate_channel, steady_state
@@ -61,11 +68,34 @@ def test_x_concurrence_equals_wootters_on_evolved_bell_states(params, kind, t):
     assert abs(value - concurrence_wootters(rho)) <= 1e-10
 
 
+@PROFILE
+@given(params=_PARAMS, kind=st.sampled_from(list(BellKind)), t=_TIME)
+@example(params=VParams(eta=0.0, p=1.0), kind=BellKind.PSI, t=3.0)
+@example(params=VParams(eta=0.0, p=0.5, omega2=1.5), kind=BellKind.PHI, t=3.0)
+@example(params=VParams(eta=0.7, p=1.0 - 1e-9), kind=BellKind.PSI, t=17.0)
+@example(params=VParams(eta=2.0, p=1.0 - 1e-9, omega1=0.5), kind=BellKind.PHI, t=9.0)
+@example(params=VParams(eta=1.3, p=0.4, omega1=-2.0, omega2=1.0), kind=BellKind.PSI, t=0.6)
+def test_bell_reader_equals_the_evolved_qubit_block(params, kind, t):
+    block = qubit_block(evolve_pair(params, params, bell_state(kind), t))
+    x = bell_x_elements(params, kind, np.array([t]))
+    live = (1, 2) if kind is BellKind.PHI else (0, 3)
+    diagonal = np.array([x.rho11[0], x.rho22[0], x.rho33[0], x.rho44[0]])
+    assert np.max(np.abs(block.diagonal() - diagonal)) <= 1e-13
+    assert abs(abs(block[live]) - x.coherence[0]) <= 1e-13
+    assert abs(np.trace(block).real - x.trace[0]) <= 1e-13
+    # nothing else carries weight
+    rest = block - np.diag(block.diagonal())
+    rest[live] = rest[live[::-1]] = 0.0
+    assert np.max(np.abs(rest)) <= 1e-13
+
+
 _SEED = st.integers(0, 2**32 - 1)
 
 
 @SHORT_PROFILE
 @given(params=_PARAMS, t=_TIME, seed=_SEED)
+# a triangular Liouvillian with a subnormal frequency (scipy issue 11839)
+@example(params=VParams(eta=0.0, p=0.0, omega2=5e-324), t=2.0, seed=0)
 def test_closed_form_equals_exponentiated_liouvillian(params, t, seed):
     rho0 = random_density(np.random.default_rng(seed), 3)
     closed = apply_channel(propagate_channel(params, t), rho0)
