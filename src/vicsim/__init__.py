@@ -33,6 +33,7 @@ from .vsystem import (
     published_rho11_infinity,
     published_single_atom,
     steady_channel,
+    steady_no_jump,
     steady_state,
     superposition_state,
 )
@@ -49,6 +50,7 @@ from .bipartite import (
     project_to_qubits,
     published_pair_elements,
     qubit_block,
+    steady_bell_x_elements,
     steady_pair,
 )
 from .entanglement import (

@@ -28,7 +28,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .vsystem import VParams, hermitize, no_jump_propagators, propagate_channel, steady_channel
+from .vsystem import (
+    VParams,
+    hermitize,
+    no_jump_propagators,
+    propagate_channel,
+    steady_channel,
+    steady_no_jump,
+)
 
 PAIR_DIM = 9
 # Pair-space indices of |1A1B>, |1A3B>, |3A1B>, |3A3B>, in that basis order.
@@ -134,19 +141,39 @@ def project_to_qubits(rho_pair: np.ndarray, min_trace: float = 1e-14) -> TwoQubi
 
 class BellXElements(NamedTuple):
     """Unnormalized X elements of an evolved, projected Bell pair, arrays
-    over the times. ``coherence`` is |rho14| for psi and |rho23| for phi;
-    the other antidiagonal pair is zero."""
+    over the times. The live antidiagonal magnitude is |rho14| for psi and
+    |rho23| for phi; the other is zero."""
 
     rho11: np.ndarray
     rho22: np.ndarray
     rho33: np.ndarray
     rho44: np.ndarray
-    coherence: np.ndarray
+    rho14_abs: np.ndarray
+    rho23_abs: np.ndarray
 
     @property
     def trace(self) -> np.ndarray:
         """The pre-normalization trace of the qubit block."""
         return self.rho11 + self.rho22 + self.rho33 + self.rho44
+
+    @property
+    def signed_concurrence(self) -> np.ndarray:
+        """2 max(|rho14| - sqrt(rho22 rho33), |rho23| - sqrt(rho11 rho44)) of
+        the normalized block: the concurrence where positive."""
+        r11, r22, r33, r44, r14, r23 = np.divide(self, self.trace)
+        return 2.0 * np.maximum(r14 - np.sqrt(r22 * r33), r23 - np.sqrt(r11 * r44))
+
+
+def _bell_x_from_no_jump(u: np.ndarray, kind: BellKind) -> BellXElements:
+    """The Bell reader on a (T, 2, 2) stack of no-jump propagators."""
+    s = (u[..., 0, 0] * u[..., 0, 0].conj()).real
+    loss = 1.0 - (s + (u[..., 1, 0] * u[..., 1, 0].conj()).real)  # 1 - P
+    half_s = 0.5 * s
+    zero = np.zeros_like(s)
+    if kind is BellKind.PSI:
+        side = half_s * loss
+        return BellXElements(half_s * s, side, side, 0.5 * (1.0 + loss * loss), half_s, zero)
+    return BellXElements(zero, half_s, half_s, loss, zero, half_s)
 
 
 def bell_x_elements(params: VParams, kind: BellKind, t: np.ndarray) -> BellXElements:
@@ -162,14 +189,19 @@ def bell_x_elements(params: VParams, kind: BellKind, t: np.ndarray) -> BellXElem
              rho44 = (1 + (1 - P)^2)/2, |rho14| = s/2;
         phi: rho22 = rho33 = |rho23| = s/2, rho44 = 1 - P, rho11 = 0.
     """
-    u = no_jump_propagators(params, t)
-    s = (u[..., 0, 0] * u[..., 0, 0].conj()).real
-    loss = 1.0 - (s + (u[..., 1, 0] * u[..., 1, 0].conj()).real)  # 1 - P
-    half_s = 0.5 * s
-    if kind is BellKind.PSI:
-        side = half_s * loss
-        return BellXElements(half_s * s, side, side, 0.5 * (1.0 + loss * loss), half_s)
-    return BellXElements(np.zeros_like(s), half_s, half_s, loss, half_s)
+    return _bell_x_from_no_jump(no_jump_propagators(params, t), kind)
+
+
+def steady_bell_x_elements(params: VParams, kind: BellKind) -> BellXElements:
+    """The same reader at U(infinity) (``steady_no_jump``): the long-time
+    block of a Bell pair, as arrays of one entry.
+
+    U(infinity) is the projector onto a real decay-free direction, or zero,
+    so U11 is real and non-negative there and the live antidiagonal entry
+    equals its magnitude. Raises NoConvergence where a decay-free level
+    keeps rotating.
+    """
+    return _bell_x_from_no_jump(steady_no_jump(params)[None], kind)
 
 
 def published_pair_elements(params: VParams, kind: BellKind,

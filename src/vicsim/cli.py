@@ -23,12 +23,11 @@ from .bipartite import (
     apply_pair_channel,
     bell_state,
     product_state,
-    project_to_qubits,
     published_pair_elements,
     qubit_block,
-    steady_pair,
+    steady_bell_x_elements,
 )
-from .entanglement import concurrence_curve, concurrence_x, esd_time
+from .entanglement import concurrence_curve, esd_time
 from .vsystem import (
     VParams,
     apply_channel,
@@ -149,8 +148,11 @@ def _open_output(path: str):
 
 
 def _write(cfg: RunConfig, text: str) -> None:
-    with _open_output(cfg.output) as fh:
-        fh.write(text)
+    try:
+        with _open_output(cfg.output) as fh:
+            fh.write(text)
+    except OSError as exc:  # a missing directory, a directory path, a full disk
+        raise ConfigError(f"cannot write {cfg.output}: {exc}") from None
 
 
 def _fmt(value: float) -> str:
@@ -233,30 +235,31 @@ def run_single(cfg: RunConfig) -> int:
 
 
 def run_steady(cfg: RunConfig) -> int:
+    """Long-time report of a Bell start, every field read from U(infinity)
+    by the Bell reader (``steady_bell_x_elements``)."""
     _require_format(cfg, "json", "steady")
-    params = _params(cfg)
     kind = BellKind(cfg.bell)
-    projected = project_to_qubits(steady_pair(params, params, bell_state(kind)))
-    rho = projected.rho
-    conc = concurrence_x(rho)
+    x = steady_bell_x_elements(_params(cfg), kind)
+    trace = float(x.trace[0])
+    r11, r22, r33, r44, r14, r23 = (float(v[0]) / trace for v in x)
     ratio = None
     ratio_published = None
     if kind is BellKind.PSI:
-        denom = math.sqrt(max(rho[1, 1].real, 0.0) * max(rho[2, 2].real, 0.0))
-        ratio = float(abs(rho[0, 3]) / denom) if denom > 1e-15 else None
+        denom = math.sqrt(max(r22, 0.0) * max(r33, 0.0))
+        ratio = r14 / denom if denom > 1e-15 else None
         eta2 = cfg.eta**2
         ratio_published = 4.0 * (eta2 / (1.0 + eta2))
+    # an X state, real at t = infinity (see steady_bell_x_elements)
+    rho = [[r11, 0.0, 0.0, r14], [0.0, r22, r23, 0.0], [0.0, r23, r33, 0.0], [r14, 0.0, 0.0, r44]]
     report = {
         "eta": cfg.eta,
         "p": cfg.p,
         "bell": cfg.bell,
-        "concurrence_infinity": conc,
+        "concurrence_infinity": max(0.0, float(x.signed_concurrence[0])),
         "ratio_rho14_over_sqrt_rho22_rho33": ratio,
         "ratio_published_formula": ratio_published,
-        "pre_norm_trace_infinity": projected.pre_norm_trace,
-        "rho_infinity": [
-            [[rho[i, j].real, rho[i, j].imag] for j in range(4)] for i in range(4)
-        ],
+        "pre_norm_trace_infinity": trace,
+        "rho_infinity": [[[value, 0.0] for value in row] for row in rho],
     }
     _write(cfg, _json_dump(report))
     return 0

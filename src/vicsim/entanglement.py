@@ -25,6 +25,7 @@ from .bipartite import (
     evolve_pair,
     project_to_qubits,
     published_pair_elements,
+    steady_bell_x_elements,
     steady_pair,
 )
 from .vsystem import UnsupportedParams, VParams
@@ -190,13 +191,11 @@ def concurrence_curve(
     return ConcurrenceCurve(points, params, kind, method)
 
 
-def _steady_projected(params: VParams, rho0: np.ndarray):
-    return project_to_qubits(steady_pair(params, params, rho0))
-
-
 def steady_concurrence(params: VParams, kind: BellKind) -> float:
-    """Concurrence of the long-time projected state."""
-    return concurrence_x(_steady_projected(params, bell_state(kind)).rho)
+    """Concurrence of the long-time projected Bell pair, read from U(infinity)
+    by the Bell reader (``steady_bell_x_elements``), with no pair state.
+    Raises NoConvergence where a decay-free level keeps rotating."""
+    return max(0.0, float(steady_bell_x_elements(params, kind).signed_concurrence[0]))
 
 
 @dataclass(frozen=True)
@@ -225,9 +224,12 @@ def esd_time(
     """Locate entanglement sudden death, if any, on gamma_t in [0, horizon].
 
     A long-time concurrence above 10 * threshold classifies as
-    asymptotically positive. A Bell start under the oracle method is
-    answered from that limit alone: it never dies in finite time (see
-    the derivation below), so it is otherwise asymptotically zero.
+    asymptotically positive. A Bell start under the oracle method takes
+    that limit from U(infinity) through the Bell reader
+    (``steady_concurrence``), with no pair state, and is answered from it
+    alone: it never dies in finite time (see the derivation below), so it
+    is otherwise asymptotically zero. An explicit ``rho0`` takes its
+    limit from the 9x9 steady pair channel.
 
     Otherwise the signed X-branch argument is scanned on ``samples``
     (at least 2) points (see ``_scan_for_death``). A Bell start under
@@ -244,12 +246,12 @@ def esd_time(
     if method == "paper" and not bell_start:
         raise ValueError("published forms cover only the Bell starts: "
                          "an explicit rho0 supports the oracle method only")
-    if bell_start:
-        rho0 = bell_state(kind)
     if method == "paper":
         limit = max(0.0, float(_paper_readout(params, kind, np.array([horizon]))[0][0]))
+    elif bell_start:
+        limit = steady_concurrence(params, kind)
     else:
-        limit = concurrence_x(_steady_projected(params, rho0).rho)
+        limit = concurrence_x(project_to_qubits(steady_pair(params, params, rho0)).rho)
     if limit > 10.0 * threshold:
         return EsdResult("asymptotic_positive", concurrence_limit=limit)
     if bell_start and method == "oracle":

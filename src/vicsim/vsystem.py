@@ -281,34 +281,42 @@ def apply_channel(channel: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return hermitize((channel @ rho.reshape(-1)).reshape(dim, dim))
 
 
-def steady_channel(params: VParams, rho0: np.ndarray | None = None) -> np.ndarray:
-    """Infinite-time limit of the propagator: the no-jump assembly with U(infinity).
+def steady_no_jump(params: VParams, rho0: np.ndarray | None = None) -> np.ndarray:
+    """U(infinity), the 2x2 no-jump propagator in the long-time limit.
 
     U(infinity) projects onto the excited direction that never decays:
     the kernel of Gamma, when Gamma is singular (eta = 0 or maximal
     interference) and the kernel is also an eigenvector of the level
-    frequencies. Both are decided from the parameters, not from a
-    numerically computed eigenvalue. A survivor
+    frequencies; otherwise it is zero. Both are decided from the
+    parameters, not from a numerically computed eigenvalue. A survivor
     with nonzero frequency keeps rotating against the ground level, so
     the limit does not exist (NoConvergence): without rho0 always, with
     rho0 only when rho0 carries coherence between the survivor and the
     ground level.
     """
-    u = np.zeros((2, 2), dtype=complex)
     # det(Gamma) = gamma^2 eta^2 (1 - p)(1 + p) is zero exactly when eta (1 - p)
     # is; the kernel (eta, -1) is an eigenvector of diag(omega1, omega2)
     # exactly when eta = 0 or omega1 = omega2.
     singular = params.eta * (1.0 - params.p) == 0.0
-    if singular and (params.eta == 0.0 or params.omega1 == params.omega2):
-        kernel = dark_vector(params.eta)[:2]
-        omega = params.omega2 if params.eta == 0.0 else params.omega1
-        if omega != 0.0 and (rho0 is None or kernel.conj() @ rho0[:2, GROUND] != 0.0):
-            raise NoConvergence(
-                f"a decay-free level keeps rotating at omega = {omega}; "
-                "there is no long-time limit"
-            )
-        u = np.outer(kernel, kernel.conj())
-    return _channel_from_no_jump(u)
+    if not (singular and (params.eta == 0.0 or params.omega1 == params.omega2)):
+        return np.zeros((2, 2), dtype=complex)
+    kernel = dark_vector(params.eta)[:2]
+    omega = params.omega2 if params.eta == 0.0 else params.omega1
+    if omega != 0.0 and (rho0 is None or kernel.conj() @ rho0[:2, GROUND] != 0.0):
+        raise NoConvergence(
+            f"a decay-free level keeps rotating at omega = {omega}; "
+            "there is no long-time limit"
+        )
+    return np.outer(kernel, kernel.conj())
+
+
+def steady_channel(params: VParams, rho0: np.ndarray | None = None) -> np.ndarray:
+    """Infinite-time limit of the propagator: the 9x9 no-jump assembly of
+    U(infinity) (``steady_no_jump``, which raises NoConvergence where the
+    limit does not exist). Bell starts need only U(infinity) itself
+    (``bipartite.steady_bell_x_elements``); this channel serves explicit
+    single-atom and pair states."""
+    return _channel_from_no_jump(steady_no_jump(params, rho0))
 
 
 def steady_state(params: VParams, rho0: np.ndarray) -> np.ndarray:

@@ -14,11 +14,13 @@ from vicsim.bipartite import (
     BellKind,
     apply_pair_channel,
     bell_state,
+    project_to_qubits,
     published_pair_elements,
     qubit_block,
+    steady_pair,
 )
 from vicsim.cli import COMPARE_CHUNK, main
-from vicsim.entanglement import EsdResult
+from vicsim.entanglement import EsdResult, concurrence_x
 from vicsim.vsystem import (
     VParams,
     apply_channel,
@@ -226,6 +228,58 @@ def test_steady_rho_matrix_shape(capsys):
     rho = json.loads(out)["rho_infinity"]
     assert len(rho) == 4 and all(len(row) == 4 for row in rho)
     assert all(len(entry) == 2 for row in rho for entry in row)
+
+
+def _steady_report_9x9(params, bell):
+    """The steady report read through the 9x9 steady pair channel: the pair
+    map, the projection and the X-form concurrence."""
+    kind = BellKind(bell)
+    projected = project_to_qubits(steady_pair(params, params, bell_state(kind)))
+    rho = projected.rho
+    ratio = ratio_published = None
+    if kind is BellKind.PSI:
+        denom = math.sqrt(max(rho[1, 1].real, 0.0) * max(rho[2, 2].real, 0.0))
+        ratio = float(abs(rho[0, 3]) / denom) if denom > 1e-15 else None
+        ratio_published = 4.0 * (params.eta**2 / (1.0 + params.eta**2))
+    return {
+        "eta": params.eta,
+        "p": params.p,
+        "bell": bell,
+        "concurrence_infinity": concurrence_x(rho),
+        "ratio_rho14_over_sqrt_rho22_rho33": ratio,
+        "ratio_published_formula": ratio_published,
+        "pre_norm_trace_infinity": projected.pre_norm_trace,
+        "rho_infinity": [[[rho[i, j].real, rho[i, j].imag] for j in range(4)] for i in range(4)],
+    }
+
+
+def _flat_numbers(value):
+    if isinstance(value, list):
+        return [x for item in value for x in _flat_numbers(item)]
+    return [value]
+
+
+STEADY_ETAS = (0.0, 1e-9, 0.3, 1.0 / math.sqrt(3.0), 1.0, math.sqrt(2.0), 2.5, 1e100)
+STEADY_PS = (0.0, 0.5, 1.0 - 1e-9, 1.0)
+
+
+@pytest.mark.parametrize("bell", ["psi", "phi"])
+@pytest.mark.parametrize("gamma", [0.5, 2.0])
+def test_steady_report_matches_the_9x9_pair_route(capsys, bell, gamma):
+    # 2 x 2 x 8 x 4 = 128 configs; a value above 1 within 1e-13 relative
+    for eta, p in itertools.product(STEADY_ETAS, STEADY_PS):
+        code, out, err = run_cli(capsys, "steady", "--eta", repr(eta), "--p", repr(p),
+                                 "--gamma", repr(gamma), "--bell", bell)
+        assert code == 0, err
+        got = json.loads(out)
+        want = _steady_report_9x9(VParams(gamma=gamma, eta=eta, p=p), bell)
+        assert list(got) == list(want)
+        for key in want:
+            for a, b in zip(_flat_numbers(got[key]), _flat_numbers(want[key]), strict=True):
+                if isinstance(b, str) or b is None:
+                    assert a == b, (eta, p, key)
+                else:
+                    assert abs(a - b) <= 1e-13 * max(1.0, abs(b)), (eta, p, key, a, b)
 
 
 # -------------------------------------------------------------------- compare
@@ -477,6 +531,15 @@ def test_unallocatable_grid_is_a_diagnostic(capsys, command):
     assert code == 2 and out == ""
     assert err.startswith("error: steps = 100000000000000000 is too many")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["curve", "single", "steady", "compare", "esd"])
+@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+def test_unwritable_output_is_a_diagnostic(tmp_path, capsys, command, target):
+    path = str(tmp_path / "missing" / "out.txt") if target == "missing-directory" else str(tmp_path)
+    code, out, err = run_cli(capsys, command, "--steps", "5", "--output", path)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
 
 
 def test_module_entry_point():

@@ -54,8 +54,22 @@ def _config_line(draw):
                                  "", "flux = 1.21", "eta = 1 = 2", f"{name} ="]))
 
 
+COMMANDS = ("curve", "single", "steady", "compare", "esd")
+# ``{tmp}`` in a token stands for the run's temporary directory
+UNWRITABLE_OUTPUTS = ("{tmp}/missing/out", "{tmp}")
+
+
+def _unwritable_output_examples(test):
+    """Every command writing into a missing directory and onto a directory."""
+    for command in COMMANDS:
+        for path in UNWRITABLE_OUTPUTS:
+            test = example(command=command, flags=[["--output", path]], config=None)(test)
+    return test
+
+
+@_unwritable_output_examples
 @settings(derandomize=True, database=None, deadline=None, max_examples=150)
-@given(command=st.sampled_from(["curve", "single", "steady", "compare", "esd"]),
+@given(command=st.sampled_from(COMMANDS),
        flags=st.lists(_flag(), max_size=5),
        config=st.none() | st.lists(_config_line(), max_size=4))
 # eta near the top of its domain: squares of 1 + eta^2 once overflowed the
@@ -66,7 +80,7 @@ def _config_line(draw):
 @example(command="steady", flags=[["--eta", "1e154"]], config=None)
 def test_cli_exits_cleanly_on_any_input(command, flags, config):
     with tempfile.TemporaryDirectory() as tmp:
-        argv = [command] + [token for flag in flags for token in flag]
+        argv = [command] + [token.replace("{tmp}", tmp) for flag in flags for token in flag]
         if config is not None:
             path = os.path.join(tmp, "run.cfg")
             with open(path, "w", encoding="utf-8") as fh:

@@ -357,6 +357,28 @@ def test_paper_method_evolves_nothing(monkeypatch):
             assert main(argv) == 0, (argv, err.getvalue())
 
 
+def test_long_time_bell_answers_build_no_pair(monkeypatch):
+    def paired(*args, **kwargs):
+        raise AssertionError("a long-time Bell answer built the 9x9 pair")
+
+    # every binding, in every vicsim module that imports them
+    for name in ("steady_pair", "apply_pair_channel", "project_to_qubits", "propagate_channel"):
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("vicsim") and hasattr(module, name):
+                monkeypatch.setattr(module, name, paired)
+    # survivors at p = 1, limits below the threshold, and eta = 0
+    params = [("1", "1"), ("0.3", "1"), ("2", "0.5"), ("0", "1"), ("1", "0.999999999")]
+    runs = [[command, "--eta", eta, "--p", p, "--bell", bell]
+            for command in ("steady", "esd") for eta, p in params for bell in ("psi", "phi")]
+    for argv in runs:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            assert main(argv) == 0, (argv, err.getvalue())
+    for eta, p in params:
+        for kind in BellKind:
+            steady_concurrence(VParams(eta=float(eta), p=float(p)), kind)
+
+
 @pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
 def test_psi_without_umbrella_follows_yu_eberly(p):
     # eta = 0 is two-level amplitude damping of (|11> + |33>)/sqrt(2), whose

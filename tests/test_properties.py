@@ -10,6 +10,7 @@ import math
 from decimal import Decimal, localcontext
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from vicsim.bipartite import (
@@ -19,8 +20,10 @@ from vicsim.bipartite import (
     evolve_pair,
     project_to_qubits,
     qubit_block,
+    steady_bell_x_elements,
+    steady_pair,
 )
-from vicsim.entanglement import concurrence_curve, concurrence_x
+from vicsim.entanglement import concurrence_curve, concurrence_x, x_branch_values
 from vicsim.oracles import concurrence_wootters, propagate_spectral
 from vicsim.vsystem import NoConvergence, VParams, apply_channel, propagate_channel, steady_state
 from util import random_density
@@ -77,16 +80,46 @@ def test_x_concurrence_equals_wootters_on_evolved_bell_states(params, kind, t):
 @example(params=VParams(eta=1.3, p=0.4, omega1=-2.0, omega2=1.0), kind=BellKind.PSI, t=0.6)
 def test_bell_reader_equals_the_evolved_qubit_block(params, kind, t):
     block = qubit_block(evolve_pair(params, params, bell_state(kind), t))
-    x = bell_x_elements(params, kind, np.array([t]))
-    live = (1, 2) if kind is BellKind.PHI else (0, 3)
+    _assert_reader_is_the_block(bell_x_elements(params, kind, np.array([t])), block)
+
+
+def _assert_reader_is_the_block(x, block):
+    """The reader's one-entry elements are those of the 4x4 qubit block."""
     diagonal = np.array([x.rho11[0], x.rho22[0], x.rho33[0], x.rho44[0]])
     assert np.max(np.abs(block.diagonal() - diagonal)) <= 1e-13
-    assert abs(abs(block[live]) - x.coherence[0]) <= 1e-13
+    assert abs(abs(block[0, 3]) - x.rho14_abs[0]) <= 1e-13
+    assert abs(abs(block[1, 2]) - x.rho23_abs[0]) <= 1e-13
     assert abs(np.trace(block).real - x.trace[0]) <= 1e-13
     # nothing else carries weight
     rest = block - np.diag(block.diagonal())
-    rest[live] = rest[live[::-1]] = 0.0
+    rest[0, 3] = rest[3, 0] = rest[1, 2] = rest[2, 1] = 0.0
     assert np.max(np.abs(rest)) <= 1e-13
+    # the signed concurrence is the X reader's on the normalised block
+    rho = block / np.trace(block).real
+    inner, outer = x_branch_values(rho)
+    assert abs(x.signed_concurrence[0] - 2.0 * max(inner, outer)) <= 1e-13
+
+
+@PROFILE
+@given(params=_PARAMS, kind=st.sampled_from(list(BellKind)))
+@example(params=VParams(eta=0.0, p=0.5), kind=BellKind.PSI)
+@example(params=VParams(eta=0.0, p=0.3, omega1=1.0), kind=BellKind.PHI)
+@example(params=VParams(eta=0.0, p=0.3, omega2=1.5), kind=BellKind.PSI)  # no limit
+@example(params=VParams(eta=0.7, p=1.0 - 1e-9), kind=BellKind.PSI)
+@example(params=VParams(eta=0.7, p=1.0 - 1e-9), kind=BellKind.PHI)
+@example(params=VParams(eta=1.3, p=1.0), kind=BellKind.PSI)
+@example(params=VParams(eta=1.3, p=1.0), kind=BellKind.PHI)
+@example(params=VParams(eta=1e100, p=1.0), kind=BellKind.PSI)
+@example(params=VParams(eta=1e100, p=1.0), kind=BellKind.PHI)
+def test_bell_reader_at_infinity_equals_the_steady_qubit_block(params, kind):
+    try:
+        block = qubit_block(steady_pair(params, params, bell_state(kind)))
+    except NoConvergence:
+        # both routes refuse a decay-free level that keeps rotating
+        with pytest.raises(NoConvergence):
+            steady_bell_x_elements(params, kind)
+        return
+    _assert_reader_is_the_block(steady_bell_x_elements(params, kind), block)
 
 
 _SEED = st.integers(0, 2**32 - 1)
