@@ -54,8 +54,8 @@ from .bipartite import (
     steady_pair,
 )
 from .entanglement import (
+    CURVE_COLUMNS,
     ConcurrenceCurve,
-    ConcurrencePoint,
     EsdResult,
     NotXForm,
     concurrence_curve,

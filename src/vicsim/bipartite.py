@@ -21,7 +21,6 @@ empties into the ground level and the trace recovers.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -41,9 +40,6 @@ PAIR_DIM = 9
 # Pair-space indices of |1A1B>, |1A3B>, |3A1B>, |3A3B>, in that basis order.
 QUBIT_BLOCK = (0, 2, 6, 8)
 _QUBIT_INDEX = np.array(QUBIT_BLOCK)
-# Lambda_A ox Lambda_B on T[i, k, j, l] = rho[3i+k, 3j+l], alone and on stacks.
-_PAIR_MAP = "ijmn,klpq,mpnq->ikjl"
-_PAIR_MAP_STACKED = "...ijmn,...klpq,...mpnq->...ikjl"
 
 
 class ZeroTrace(ValueError):
@@ -66,13 +62,14 @@ class TwoQubitState:
 
 
 def bell_state(kind: BellKind) -> np.ndarray:
-    """Bell-state density matrix embedded in the 9-dimensional pair space."""
-    v = np.zeros(PAIR_DIM, dtype=complex)
-    if kind is BellKind.PSI:
-        v[0] = v[8] = 1.0 / math.sqrt(2.0)
-    else:
-        v[2] = v[6] = 1.0 / math.sqrt(2.0)
-    return np.outer(v, v.conj())
+    """Bell-state density matrix embedded in the 9-dimensional pair space.
+
+    Its four nonzero entries are exactly 1/2, as the Bell reader
+    (``bell_x_elements``) takes them, not the rounded (1/sqrt(2))^2."""
+    support = [0, 8] if kind is BellKind.PSI else [2, 6]
+    rho = np.zeros((PAIR_DIM, PAIR_DIM), dtype=complex)
+    rho[np.ix_(support, support)] = 0.5
+    return rho
 
 
 def product_state(ket_a: int = 0, ket_b: int = 0) -> np.ndarray:
@@ -86,23 +83,23 @@ def apply_pair_channel(channel_a: np.ndarray, channel_b: np.ndarray,
                        rho_pair: np.ndarray) -> np.ndarray:
     """Act with Lambda_A ox Lambda_B on a 9x9 pair matrix.
 
-    The pair matrix reshapes to T[i, k, j, l] = rho[3i+k, 3j+l]; each
-    channel is a 9x9 map on its atom's (row, column) index pair. Any
-    argument may carry leading stack axes (one channel per time, say);
-    they broadcast, and the result carries them too.
+    Each channel is a 9x9 map on its atom's (row, column) index pair.
+    Regrouped by atom, R[3m+n, 3p+q] = rho[3m+p, 3n+q], the pair matrix
+    is acted on as Lambda_A R Lambda_B^T: two matrix products. The regrouping
+    is its own inverse, so it also reads the result back. Any argument may
+    carry leading stack axes (one channel per time, say); they broadcast,
+    and the result carries them too.
     """
-    a4, b4, r4 = _split(channel_a), _split(channel_b), _split(rho_pair)
-    stacked = a4.ndim + b4.ndim + r4.ndim > 12
-    # Broadcasting and an optimised contraction path pay off only on
-    # stacks: either slows the single-matrix call.
-    out = np.einsum(_PAIR_MAP_STACKED if stacked else _PAIR_MAP, a4, b4, r4, optimize=stacked)
-    return hermitize(out.reshape(out.shape[:-4] + (PAIR_DIM, PAIR_DIM)))
+    regrouped = _regroup(np.asarray(rho_pair, dtype=complex))
+    out = np.asarray(channel_a, dtype=complex) @ regrouped @ np.swapaxes(channel_b, -1, -2)
+    return hermitize(_regroup(out))
 
 
-def _split(m: np.ndarray) -> np.ndarray:
-    """View each trailing 9x9 matrix as its 3x3x3x3 tensor."""
-    m = np.asarray(m, dtype=complex)
-    return m.reshape(m.shape[:-2] + (3, 3, 3, 3))
+def _regroup(m: np.ndarray) -> np.ndarray:
+    """Swap the middle two of the four level indices of each trailing 9x9
+    matrix: M[3m+p, 3n+q] -> R[3m+n, 3p+q]."""
+    lead = m.shape[:-2]
+    return m.reshape(lead + (3, 3, 3, 3)).swapaxes(-3, -2).reshape(lead + (PAIR_DIM, PAIR_DIM))
 
 
 def evolve_pair(params_a: VParams, params_b: VParams,
@@ -130,13 +127,16 @@ def project_to_qubits(rho_pair: np.ndarray, min_trace: float = 1e-14) -> TwoQubi
     """Compress to the qubit subspace and renormalize.
 
     Raises ZeroTrace when the state lies entirely outside the projected
-    block.
+    block. The real and imaginary parts are divided as floats, so each is
+    correctly rounded, as in the Bell reader; a complex division rounds
+    them differently.
     """
     block = qubit_block(rho_pair)
     trace = float(np.trace(block).real)
     if trace < min_trace:
         raise ZeroTrace(f"projected trace {trace:.3e} below {min_trace:.1e}")
-    return TwoQubitState(rho=block / trace, pre_norm_trace=trace)
+    rho = (np.ascontiguousarray(block).view(float) / trace).view(complex)
+    return TwoQubitState(rho=rho, pre_norm_trace=trace)
 
 
 class BellXElements(NamedTuple):
@@ -223,7 +223,8 @@ def published_pair_elements(params: VParams, kind: BellKind,
     """
     eta2 = params.eta**2
     e = 1.0 + eta2
-    x = np.exp(-params.bright_rate * t)
+    with np.errstate(over="ignore"):  # rate * t overflows to inf, whose exp(-inf) = 0 is right
+        x = np.exp(-params.bright_rate * t)
     x2 = x * x
     x3, x4 = x2 * x, x2 * x2
     # psi's rho14 and phi's rho23 are printed as the same form

@@ -67,24 +67,31 @@ def concurrence_x(rho: np.ndarray) -> float:
     return 2.0 * max(0.0, inner, outer)
 
 
-@dataclass(frozen=True)
-class ConcurrencePoint:
-    """One sample of a concurrence curve, with the elements behind it."""
-
-    gamma_t: float
-    concurrence: float
-    elements: dict[str, float] | None = None
+# The columns of a ConcurrenceCurve, in CSV order.
+CURVE_COLUMNS = ("gamma_t", "concurrence", "rho14_abs", "rho23_abs", "rho22", "rho33",
+                 "pre_norm_trace")
 
 
 @dataclass(frozen=True)
 class ConcurrenceCurve:
-    points: list[ConcurrencePoint]
+    """A concurrence curve as float arrays over its grid, one per CSV column:
+    the concurrence, |rho14|, |rho23|, rho22 and rho33 of the normalized
+    qubit block, and the trace it was normalized by."""
+
+    gamma_t: np.ndarray
+    concurrence: np.ndarray
+    rho14_abs: np.ndarray
+    rho23_abs: np.ndarray
+    rho22: np.ndarray
+    rho33: np.ndarray
+    pre_norm_trace: np.ndarray
     params: VParams
     kind: BellKind
     method: str = "oracle"
 
-    def tail(self) -> ConcurrencePoint:
-        return self.points[-1]
+    def columns(self) -> tuple[np.ndarray, ...]:
+        """The arrays in CURVE_COLUMNS order."""
+        return tuple(getattr(self, name) for name in CURVE_COLUMNS)
 
 
 def _validate_grid(gamma_ts: np.ndarray) -> np.ndarray:
@@ -99,21 +106,15 @@ def _validate_grid(gamma_ts: np.ndarray) -> np.ndarray:
 
 
 def _signed_point(params: VParams, rho0: np.ndarray,
-                  gamma_t: float) -> tuple[float, dict[str, float]]:
+                  gamma_t: float) -> tuple[float, float, float, float, float, float]:
     """Signed concurrence 2 max(X branches) of the evolved, projected state
-    (checked to be X-shaped) at gamma_t, with the elements behind it."""
-    t = gamma_t / params.gamma
-    projected = project_to_qubits(evolve_pair(params, params, rho0, t))
-    rho, trace = projected.rho, projected.pre_norm_trace
-    elements = {
-        "rho14_abs": float(abs(rho[0, 3])),
-        "rho23_abs": float(abs(rho[1, 2])),
-        "rho22": float(rho[1, 1].real),
-        "rho33": float(rho[2, 2].real),
-        "pre_norm_trace": trace,
-    }
-    inner, outer = x_branch_values(_check_x_form(rho))
-    return 2.0 * max(inner, outer), elements
+    (checked to be X-shaped) at gamma_t, then |rho14|, |rho23|, rho22 and
+    rho33 of that state and its pre-normalization trace, all floats."""
+    projected = project_to_qubits(evolve_pair(params, params, rho0, gamma_t / params.gamma))
+    rho = _check_x_form(projected.rho)
+    inner, outer = x_branch_values(rho)
+    return (2.0 * max(inner, outer), float(abs(rho[0, 3])), float(abs(rho[1, 2])),
+            float(rho[1, 1].real), float(rho[2, 2].real), projected.pre_norm_trace)
 
 
 def _paper_readout(params: VParams, kind: BellKind,
@@ -127,7 +128,8 @@ def _paper_readout(params: VParams, kind: BellKind,
     zero: psi's is at least its rho44 >= 1/2, and phi's, 1 - |U21|^2, is
     at least 3/4 at p = 1, where |U21| <= eta / (1 + eta^2).
     """
-    times = gamma_ts / params.gamma
+    with np.errstate(over="ignore"):  # an overflowing time is inf, which the reader rejects
+        times = gamma_ts / params.gamma
     pair = bell_x_elements(params, kind, times)
     trace = pair.trace
     signed, elements = _published_branch(published_pair_elements(params, kind, times), kind, trace)
@@ -146,12 +148,13 @@ def _published_branch(pub: dict, kind: BellKind, trace: float) -> tuple[float, d
     """
     if kind is BellKind.PSI:
         rho14, rho22, rho33 = (pub[key] / trace for key in ("rho14", "rho22", "rho33"))
-        elements = {"rho14_abs": rho14, "rho23_abs": 0.0, "rho22": rho22, "rho33": rho33}
+        elements = {"rho14_abs": rho14, "rho23_abs": np.zeros_like(rho14), "rho22": rho22,
+                    "rho33": rho33}
         return 2.0 * (rho14 - np.sqrt(np.maximum(rho22, 0.0) * np.maximum(rho33, 0.0))), elements
     # The doubly-excited population is identically zero for this initial
     # state, so the outer branch reduces to |rho23|.
     rho23 = pub["rho23"] / trace
-    return 2.0 * rho23, {"rho14_abs": 0.0, "rho23_abs": rho23}
+    return 2.0 * rho23, {"rho14_abs": np.zeros_like(rho23), "rho23_abs": rho23}
 
 
 def _check_method(params: VParams, method: str) -> None:
@@ -178,17 +181,13 @@ def concurrence_curve(
     _check_method(params, method)
     if method == "paper":
         signed, elements = _paper_readout(params, kind, grid)
-        columns = [np.broadcast_to(v, grid.shape).tolist() for v in elements.values()]
-        concurrence = np.where(signed > 0.0, signed, 0.0).tolist()
-        points = [ConcurrencePoint(gamma_t, c, dict(zip(elements, row)))
-                  for gamma_t, c, *row in zip(grid.tolist(), concurrence, *columns)]
-        return ConcurrenceCurve(points, params, kind, method)
-    rho0 = bell_state(kind)
-    points = []
-    for gamma_t in grid:
-        signed, elements = _signed_point(params, rho0, float(gamma_t))
-        points.append(ConcurrencePoint(float(gamma_t), max(0.0, signed), elements))
-    return ConcurrenceCurve(points, params, kind, method)
+    else:
+        rho0 = bell_state(kind)
+        samples = np.array([_signed_point(params, rho0, gamma_t) for gamma_t in grid.tolist()])
+        signed, elements = samples[:, 0], dict(zip(CURVE_COLUMNS[2:], samples[:, 1:].T))
+    # clamps -0.0 and NaN to 0.0, as max(0.0, signed) does
+    concurrence = np.where(signed > 0.0, signed, 0.0)
+    return ConcurrenceCurve(grid, concurrence, params=params, kind=kind, method=method, **elements)
 
 
 def steady_concurrence(params: VParams, kind: BellKind) -> float:

@@ -146,7 +146,7 @@ _CHANNEL_SLOTS = np.array(
     + [9 * r + c for r in (6, 7) for c in (6, 7)]         # rho_3e -> rho_3e U^+
     + [9 * 8 + c for c in _EE]                            # lost excited weight -> rho_33
 )
-_EYE2 = np.eye(2)
+_VEC_EYE2 = np.eye(2).reshape(-1)
 # Below |r t| = 0.1 the 2x2 exponential uses its power series in (r t)^2:
 # there the fast and slow exponentials nearly coincide and the projectors
 # onto their eigenvectors blow up, so their sum would lose digits to
@@ -159,13 +159,16 @@ def _channel_from_no_jump(u: np.ndarray) -> np.ndarray:
 
     Jumps only feed the ground level, so rho_ee -> U rho_ee U^+,
     rho_e3 -> U rho_e3 and rho_33 -> rho_33 + tr rho_ee - tr(U rho_ee U^+).
+    The lost weight is read off the rho_ee block's diagonal rows, so it is
+    rounded as the Bell reader (``bipartite.bell_x_elements``) rounds 1 - P.
     """
     uc = u.conj()
+    ee = (u[:, None, :, None] * uc[None, :, None, :]).reshape(4, 4)
     values = np.concatenate((
-        (u[:, None, :, None] * uc[None, :, None, :]).reshape(-1),
+        ee.reshape(-1),
         u.reshape(-1),
         uc.reshape(-1),
-        (_EYE2 - u.T @ uc).reshape(-1),
+        _VEC_EYE2 - (ee[0] + ee[3]),
     ))
     s = np.zeros((9, 9), dtype=complex)
     s.flat[_CHANNEL_SLOTS] = values
@@ -205,6 +208,7 @@ def _no_jump_propagator(params: VParams, t: float) -> np.ndarray:
     Rates and projectors are formed in units of s = max(m, |w|), so no
     square over- or underflows.
     """
+    t = float(t)  # a numpy t would make every product below warn where it overflows
     g1, g2, g12, p = params.gamma1, params.gamma2, params.gamma12, params.p
     mean_w = 0.5 * params.omega1 + 0.5 * params.omega2
     half_dw = 0.5 * params.omega1 - 0.5 * params.omega2
@@ -300,14 +304,16 @@ def steady_no_jump(params: VParams, rho0: np.ndarray | None = None) -> np.ndarra
     singular = params.eta * (1.0 - params.p) == 0.0
     if not (singular and (params.eta == 0.0 or params.omega1 == params.omega2)):
         return np.zeros((2, 2), dtype=complex)
-    kernel = dark_vector(params.eta)[:2]
+    # the projector onto the kernel (eta, -1), divided by its squared norm
+    # once, so that no square root rounds its entries
+    kernel = np.array([params.eta, -1.0], dtype=complex)
     omega = params.omega2 if params.eta == 0.0 else params.omega1
-    if omega != 0.0 and (rho0 is None or kernel.conj() @ rho0[:2, GROUND] != 0.0):
+    if omega != 0.0 and (rho0 is None or kernel @ rho0[:2, GROUND] != 0.0):
         raise NoConvergence(
             f"a decay-free level keeps rotating at omega = {omega}; "
             "there is no long-time limit"
         )
-    return np.outer(kernel, kernel.conj())
+    return np.outer(kernel, kernel) / (1.0 + params.eta**2)
 
 
 def steady_channel(params: VParams, rho0: np.ndarray | None = None) -> np.ndarray:
@@ -360,7 +366,8 @@ def published_single_atom(params: VParams, rho0: np.ndarray,
     """
     rho0 = np.asarray(rho0, dtype=complex)
     eta2 = params.eta**2
-    x = np.exp(-params.bright_rate * t)
+    with np.errstate(over="ignore"):  # rate * t overflows to inf, whose exp(-inf) = 0 is right
+        x = np.exp(-params.bright_rate * t)
     x2 = x * x
     al, be = alpha_beta(rho0)
     rho11 = (

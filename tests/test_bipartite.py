@@ -17,7 +17,7 @@ from vicsim.bipartite import (
 )
 from vicsim.oracles import evolve_pair_joint, joint_liouvillian, rk4_evolve
 from vicsim.vsystem import VParams, hermitize, propagate_channel
-from util import max_abs, random_density
+from util import einsum_pair_map, max_abs, random_density
 
 
 def test_bell_psi_pattern():
@@ -229,6 +229,29 @@ def test_stacked_pair_map_equals_its_per_time_calls():
     mixed = apply_pair_channel(chan_a[3], chan_b, rho0)
     for i in range(len(times)):
         assert max_abs(mixed[i] - apply_pair_channel(chan_a[3], chan_b[i], rho0)) <= 1e-15
+
+
+def _random_maps(rng, shape):
+    return rng.normal(size=shape + (9, 9)) + 1j * rng.normal(size=shape + (9, 9))
+
+
+def test_pair_map_equals_the_einsum_reference_on_random_channels():
+    # two matrix products on the regrouped pair against one einsum over the
+    # 3x3x3x3 tensors; the entries are O(1) sums of 81 products
+    rng = np.random.default_rng(21)
+    for _ in range(20):
+        chan_a, chan_b = _random_maps(rng, ()), _random_maps(rng, ())
+        rho = random_density(rng, 9)
+        assert max_abs(apply_pair_channel(chan_a, chan_b, rho)
+                       - einsum_pair_map(chan_a, chan_b, rho)) <= 1e-13
+    # stacks broadcast against stacks, single channels and single states
+    chan_a, chan_b = _random_maps(rng, (4, 1)), _random_maps(rng, (3,))
+    rhos = np.stack([random_density(rng, 9) for _ in range(3)])
+    for args, shape in [((chan_a, chan_b, rhos[0]), (4, 3)), ((chan_a[0, 0], chan_b, rhos), (3,)),
+                        ((chan_a, chan_b[1], rhos), (4, 3)), ((chan_a[2], chan_b, rhos), (3,))]:
+        got = apply_pair_channel(*args)
+        assert got.shape == shape + (9, 9)
+        assert max_abs(got - einsum_pair_map(*args)) <= 1e-13
 
 
 def test_stacked_hermitize_and_qubit_block_equal_their_per_matrix_calls():

@@ -5,6 +5,7 @@ import math
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -44,6 +45,21 @@ def parse_csv(text):
     header = lines[0].split(",")
     rows = [[float(x) for x in line.split(",")] for line in lines[1:]]
     return header, rows
+
+
+# ------------------------------------------------------------------------ csv
+
+CSV_EDGE_VALUES = (0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e308, sys.float_info.max,
+                   math.inf, -math.inf, math.nan)
+
+
+@pytest.mark.parametrize("value", CSV_EDGE_VALUES + tuple(map(np.float64, CSV_EDGE_VALUES)),
+                         ids=repr)
+def test_row_format_equals_the_per_value_format(value):
+    # CSV rows are formatted with one "%.12e,..." % row; the bytes must be
+    # those of the per-value f"{v:.12e}" they replace
+    assert "%.12e" % value == f"{value:.12e}"
+    assert "%.12e,%.12e" % (value, value) == f"{value:.12e},{value:.12e}"
 
 
 # ---------------------------------------------------------------------- curve
@@ -221,6 +237,17 @@ def test_steady_key_order_deterministic(capsys):
         "ratio_rho14_over_sqrt_rho22_rho33", "ratio_published_formula",
         "pre_norm_trace_infinity", "rho_infinity",
     ]
+
+
+def test_long_time_answers_are_correctly_rounded(capsys):
+    # U(infinity) is formed without a square root, so these exact values
+    # come out to the last bit
+    _, out, _ = run_cli(capsys, "steady", "--eta", "1", "--bell", "psi")
+    report = json.loads(out)
+    assert report["concurrence_infinity"] == 0.16
+    assert report["pre_norm_trace_infinity"] == 0.78125
+    _, out, _ = run_cli(capsys, "esd", "--eta", "1", "--bell", "phi")
+    assert json.loads(out)["concurrence_limit"] == 0.3333333333333333
 
 
 def test_steady_rho_matrix_shape(capsys):
@@ -483,6 +510,16 @@ def test_config_file_and_flag_precedence(tmp_path, capsys):
     report = json.loads(out)
     assert report["eta"] == 1.0
     assert report["bell"] == "phi"
+
+
+def test_config_file_is_closed_after_reading(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("eta = 0.5\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, err = run_cli(capsys, "steady", "--config", str(config))
+    assert code == 0, err
+    assert [str(w.message) for w in caught] == []
 
 
 def test_config_file_rejects_unknown_key(tmp_path, capsys):

@@ -1,7 +1,8 @@
 """CLI fuzz: valid and invalid flag values and config files for every subcommand.
 
 Every run must exit 0 with nothing on stderr, or exit 2 with a one-line
-``error:`` diagnostic; an exception escaping ``main`` fails the test.
+``error:`` diagnostic; an exception escaping ``main`` fails the test, and
+so does any warning it raises (a numpy overflow, an unclosed file).
 A JSON report of a run that exits 0 must parse as strict JSON, with no
 ``NaN`` or ``Infinity``. ``--steps`` stays at most 200, so no run builds
 a large grid.
@@ -12,6 +13,7 @@ import io
 import json
 import os
 import tempfile
+import warnings
 
 from hypothesis import example, given, settings, strategies as st
 
@@ -78,6 +80,19 @@ def _unwritable_output_examples(test):
 @example(command="esd", flags=[["--method", "paper"], ["--eta", "1e100"]], config=None)
 @example(command="compare", flags=[["--eta", "1e100"], ["--steps", "5"]], config=None)
 @example(command="steady", flags=[["--eta", "1e154"]], config=None)
+# times whose decay exponent, or gamma_t / gamma itself, overflows a float
+@example(command="single", flags=[["--t-max", "1e308"], ["--steps", "3"]], config=None)
+@example(command="compare", flags=[["--t-max", "1e308"], ["--steps", "3"]], config=None)
+@example(command="curve", flags=[["--method", "paper"], ["--t-max", "1.7e308"], ["--steps", "3"]],
+         config=None)
+@example(command="single", flags=[["--gamma", "1e-5"], ["--t-max", "1e305"], ["--steps", "3"]],
+         config=None)
+@example(command="compare", flags=[["--gamma", "1e-5"], ["--t-max", "1e305"], ["--steps", "3"]],
+         config=None)
+@example(command="curve", flags=[["--method", "paper"], ["--gamma", "1e-5"], ["--t-max", "1e305"],
+                                 ["--steps", "3"]], config=None)
+@example(command="esd", flags=[["--method", "paper"], ["--gamma", "1e-320"]], config=None)
+@example(command="steady", flags=[], config=["eta = 0.5"])
 def test_cli_exits_cleanly_on_any_input(command, flags, config):
     with tempfile.TemporaryDirectory() as tmp:
         argv = [command] + [token.replace("{tmp}", tmp) for flag in flags for token in flag]
@@ -87,8 +102,11 @@ def test_cli_exits_cleanly_on_any_input(command, flags, config):
                 fh.write("\n".join(config) + "\n")
             argv += ["--config", path]
         out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with (contextlib.redirect_stdout(out), contextlib.redirect_stderr(err),
+              warnings.catch_warnings(record=True) as caught):
+            warnings.simplefilter("always")
             code = main(argv)
+    assert [str(w.message) for w in caught] == [], argv
     message = err.getvalue()
     assert code in (0, 2), argv
     if code == 0:

@@ -17,6 +17,7 @@ from vicsim.bipartite import (
 )
 from vicsim.cli import main
 from vicsim.entanglement import (
+    CURVE_COLUMNS,
     EsdResult,
     NotXForm,
     _published_branch,
@@ -114,15 +115,15 @@ def test_curve_starts_maximally_entangled():
     grid = np.linspace(0.0, 5.0, 11)
     for kind in (BellKind.PSI, BellKind.PHI):
         curve = concurrence_curve(VParams(eta=1.7, p=1.0), kind, grid)
-        assert curve.points[0].concurrence == pytest.approx(1.0, abs=1e-12)
+        assert curve.concurrence[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_curve_tail_values():
     grid = np.linspace(0.0, 50.0, 51)
-    tail = concurrence_curve(VParams(eta=1.0, p=1.0), BellKind.PSI, grid).tail()
-    assert tail.concurrence == pytest.approx(0.16, abs=1e-9)
-    tail0 = concurrence_curve(VParams(eta=1.0, p=0.0), BellKind.PSI, grid).tail()
-    assert tail0.concurrence <= 1e-6
+    tail = concurrence_curve(VParams(eta=1.0, p=1.0), BellKind.PSI, grid).concurrence[-1]
+    assert tail == pytest.approx(0.16, abs=1e-9)
+    tail0 = concurrence_curve(VParams(eta=1.0, p=0.0), BellKind.PSI, grid).concurrence[-1]
+    assert tail0 <= 1e-6
 
 
 def test_curve_grid_validation():
@@ -141,10 +142,7 @@ def test_curve_published_mode_matches_oracle_at_unit_eta():
     for kind in (BellKind.PSI, BellKind.PHI):
         oracle = concurrence_curve(params, kind, grid, method="oracle")
         published = concurrence_curve(params, kind, grid, method="paper")
-        worst = max(
-            abs(a.concurrence - b.concurrence)
-            for a, b in zip(oracle.points, published.points)
-        )
+        worst = np.max(np.abs(oracle.concurrence - published.concurrence))
         assert worst <= 1e-8
 
 
@@ -154,10 +152,7 @@ def test_curve_published_mode_deviation_is_a_number_at_root_two():
     params = VParams(eta=SQRT2, p=1.0)
     oracle = concurrence_curve(params, BellKind.PSI, grid, method="oracle")
     published = concurrence_curve(params, BellKind.PSI, grid, method="paper")
-    worst = max(
-        abs(a.concurrence - b.concurrence)
-        for a, b in zip(oracle.points, published.points)
-    )
+    worst = np.max(np.abs(oracle.concurrence - published.concurrence))
     assert math.isfinite(worst)
     assert worst > 1e-6  # documented disagreement, must not silently vanish
 
@@ -288,13 +283,13 @@ def test_paper_curve_matches_the_evolved_readout(eta, gamma, kind):
     for steps in (2, 21, 773):
         grid = np.linspace(0.0, 10.0, steps)
         curve = concurrence_curve(params, kind, grid, method="paper")
-        assert [pt.gamma_t for pt in curve.points] == grid.tolist()
-        for pt in curve.points:
-            signed, elements = _evolved_paper_point(params, kind, pt.gamma_t)
-            assert abs(pt.concurrence - max(0.0, signed)) <= 1e-12
-            assert list(pt.elements) == list(_CURVE_KEYS)
+        assert curve.gamma_t.tolist() == grid.tolist()
+        assert CURVE_COLUMNS == ("gamma_t", "concurrence") + _CURVE_KEYS
+        for i, gamma_t in enumerate(grid.tolist()):
+            signed, elements = _evolved_paper_point(params, kind, gamma_t)
+            assert abs(curve.concurrence[i] - max(0.0, signed)) <= 1e-12
             for key in _CURVE_KEYS:
-                assert abs(pt.elements[key] - elements[key]) <= 1e-12, (pt.gamma_t, key)
+                assert abs(getattr(curve, key)[i] - elements[key]) <= 1e-12, (gamma_t, key)
 
 
 def _evolved_paper_esd(params, kind, threshold=1e-12, horizon=50.0, samples=1001):
@@ -386,8 +381,8 @@ def test_psi_without_umbrella_follows_yu_eberly(p):
     # PRL 93, 140404 (2004))
     params = VParams(eta=0.0, p=p)
     curve = concurrence_curve(params, BellKind.PSI, np.linspace(0.0, 50.0, 501))
-    for pt in curve.points:
-        assert abs(pt.concurrence - math.exp(-4.0 * pt.gamma_t)) <= 1e-12
+    for gamma_t, concurrence in zip(curve.gamma_t.tolist(), curve.concurrence.tolist()):
+        assert abs(concurrence - math.exp(-4.0 * gamma_t)) <= 1e-12
     assert esd_time(params, BellKind.PSI) == EsdResult("asymptotic_zero")
 
 
@@ -401,10 +396,10 @@ _OMEGA = st.one_of(st.just(0.0), st.floats(-3.0, 3.0))
 def test_bell_branch_is_a_product_of_single_atom_factors(kind, eta, p, omega1, omega2, gamma_t):
     # psi: |U11|^2 P_e / tr, phi: |U11|^2 / tr, with U the no-jump propagator
     params = VParams(eta=eta, p=p, omega1=omega1, omega2=omega2)
-    signed, elements = _signed_point(params, bell_state(kind), gamma_t)
+    signed, *_, pre_norm_trace = _signed_point(params, bell_state(kind), gamma_t)
     chan = propagate_channel(params, gamma_t / params.gamma).real
     u11_sq, excited = chan[0, 0], chan[0, 0] + chan[4, 0]
     factor = u11_sq * excited if kind is BellKind.PSI else u11_sq
-    exact = factor / elements["pre_norm_trace"]
+    exact = factor / pre_norm_trace
     assert exact >= 0.0
     assert abs(signed - exact) <= 1e-12

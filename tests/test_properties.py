@@ -23,10 +23,10 @@ from vicsim.bipartite import (
     steady_bell_x_elements,
     steady_pair,
 )
-from vicsim.entanglement import concurrence_curve, concurrence_x, x_branch_values
+from vicsim.entanglement import CURVE_COLUMNS, concurrence_curve, concurrence_x, x_branch_values
 from vicsim.oracles import concurrence_wootters, propagate_spectral
 from vicsim.vsystem import NoConvergence, VParams, apply_channel, propagate_channel, steady_state
-from util import random_density
+from util import einsum_pair_map, random_density
 
 PROFILE = settings(derandomize=True, database=None, deadline=None, max_examples=200)
 SHORT_PROFILE = settings(PROFILE, max_examples=100)  # the draws that build a curve or an oracle
@@ -98,6 +98,42 @@ def _assert_reader_is_the_block(x, block):
     rho = block / np.trace(block).real
     inner, outer = x_branch_values(rho)
     assert abs(x.signed_concurrence[0] - 2.0 * max(inner, outer)) <= 1e-13
+
+
+def _reference_curve(params, kind, grid):
+    """The oracle curve's columns, one sample at a time: the einsum pair map,
+    the projection, and the concurrence after the X-form check."""
+    rho0, rows = bell_state(kind), []
+    for gamma_t in grid.tolist():
+        chan = propagate_channel(params, gamma_t / params.gamma)
+        block = qubit_block(einsum_pair_map(chan, chan, rho0))
+        trace = np.trace(block).real
+        rho = block / trace
+        rows.append((gamma_t, concurrence_x(rho), abs(rho[0, 3]), abs(rho[1, 2]),
+                     rho[1, 1].real, rho[2, 2].real, trace))
+    return np.array(rows).T
+
+
+@SHORT_PROFILE
+@given(params=_PARAMS, kind=st.sampled_from(list(BellKind)), t_max=st.floats(0.1, 20.0),
+       steps=st.integers(1, 30))
+@example(params=VParams(eta=0.0, p=1.0), kind=BellKind.PSI, t_max=8.0, steps=17)
+@example(params=VParams(eta=0.0, p=0.5, omega2=1.5), kind=BellKind.PHI, t_max=8.0, steps=17)
+@example(params=VParams(eta=0.7, p=1.0 - 1e-9), kind=BellKind.PSI, t_max=20.0, steps=30)
+@example(params=VParams(eta=2.0, p=1.0 - 1e-9), kind=BellKind.PHI, t_max=20.0, steps=30)
+@example(params=VParams(eta=1.3, p=0.0), kind=BellKind.PSI, t_max=5.0, steps=11)
+@example(params=VParams(eta=1.3, p=0.0), kind=BellKind.PHI, t_max=5.0, steps=11)
+@example(params=VParams(eta=1.3, p=0.4, omega1=-2.0, omega2=1.0), kind=BellKind.PSI,
+         t_max=6.0, steps=25)
+@example(params=VParams(eta=0.8, p=1.0, omega1=0.5), kind=BellKind.PHI, t_max=6.0, steps=25)
+def test_oracle_curve_columns_equal_the_per_sample_reference(params, kind, t_max, steps):
+    grid = np.linspace(0.0, t_max, steps)
+    curve = concurrence_curve(params, kind, grid)
+    reference = _reference_curve(params, kind, grid)
+    for name, want in zip(CURVE_COLUMNS, reference):
+        got = getattr(curve, name)
+        assert got.dtype == float and got.shape == grid.shape, name
+        assert np.max(np.abs(got - want)) <= 1e-12, name
 
 
 @PROFILE
@@ -179,7 +215,7 @@ def test_steady_state_is_the_long_time_channel(params, seed):
 @given(params=_PARAMS, kind=st.sampled_from(list(BellKind)), t_max=st.floats(0.1, 20.0))
 def test_pre_norm_trace_never_increases_while_the_umbrella_fills(params, kind, t_max):
     curve = concurrence_curve(params, kind, np.linspace(0.0, t_max, 21))
-    trace = np.array([pt.elements["pre_norm_trace"] for pt in curve.points])
+    trace = curve.pre_norm_trace
     assert trace.min() > 0.0 and trace.max() <= 1.0 + 1e-15
     # The trace is the weight off the umbrella levels. That weight only
     # grows without cross-damping (none enters) and under maximal
@@ -191,5 +227,5 @@ def test_pre_norm_trace_never_increases_while_the_umbrella_fills(params, kind, t
 def test_pre_norm_trace_recovers_below_maximal_interference():
     # at 0 < p < 1 the umbrella level fills, then empties into the ground level
     curve = concurrence_curve(VParams(eta=1.0, p=0.5), BellKind.PSI, np.linspace(0.0, 20.0, 81))
-    trace = [pt.elements["pre_norm_trace"] for pt in curve.points]
+    trace = curve.pre_norm_trace
     assert min(trace) < 0.97 and trace[-1] > 0.999

@@ -39,3 +39,17 @@ def random_unitary(rng, dim):
 
 def max_abs(a):
     return float(np.max(np.abs(a)))
+
+
+def einsum_pair_map(channel_a, channel_b, rho_pair):
+    """Lambda_A ox Lambda_B on 9x9 pair matrices, as one einsum over the
+    3x3x3x3 tensors T[i, k, j, l] = rho[3i+k, 3j+l], then hermitized; leading
+    stack axes broadcast. The reference for bipartite.apply_pair_channel."""
+    def split(m):
+        m = np.asarray(m, dtype=complex)
+        return m.reshape(m.shape[:-2] + (3, 3, 3, 3))
+
+    out = np.einsum("...ijmn,...klpq,...mpnq->...ikjl",
+                    split(channel_a), split(channel_b), split(rho_pair))
+    out = out.reshape(out.shape[:-4] + (9, 9))
+    return (out + out.conj().swapaxes(-1, -2)) / 2.0
