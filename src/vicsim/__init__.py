@@ -32,6 +32,7 @@ from .vsystem import (
     propagate_channel,
     published_rho11_infinity,
     published_single_atom,
+    single_atom_states,
     steady_channel,
     steady_no_jump,
     steady_state,
@@ -50,7 +51,6 @@ from .bipartite import (
     project_to_qubits,
     published_pair_elements,
     qubit_block,
-    steady_bell_x_elements,
     steady_pair,
 )
 from .entanglement import (

@@ -27,14 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .vsystem import (
-    VParams,
-    hermitize,
-    no_jump_propagators,
-    propagate_channel,
-    steady_channel,
-    steady_no_jump,
-)
+from .vsystem import VParams, hermitize, propagate_channel, steady_channel
 
 PAIR_DIM = 9
 # Pair-space indices of |1A1B>, |1A3B>, |3A1B>, |3A3B>, in that basis order.
@@ -164,21 +157,9 @@ class BellXElements(NamedTuple):
         return 2.0 * np.maximum(r14 - np.sqrt(r22 * r33), r23 - np.sqrt(r11 * r44))
 
 
-def _bell_x_from_no_jump(u: np.ndarray, kind: BellKind) -> BellXElements:
-    """The Bell reader on a (T, 2, 2) stack of no-jump propagators."""
-    s = (u[..., 0, 0] * u[..., 0, 0].conj()).real
-    loss = 1.0 - (s + (u[..., 1, 0] * u[..., 1, 0].conj()).real)  # 1 - P
-    half_s = 0.5 * s
-    zero = np.zeros_like(s)
-    if kind is BellKind.PSI:
-        side = half_s * loss
-        return BellXElements(half_s * s, side, side, 0.5 * (1.0 + loss * loss), half_s, zero)
-    return BellXElements(zero, half_s, half_s, loss, zero, half_s)
-
-
-def bell_x_elements(params: VParams, kind: BellKind, t: np.ndarray) -> BellXElements:
-    """The qubit block of a Bell pair of identical atoms at each time of t,
-    read from the 2x2 no-jump propagator U alone, with no pair evolution.
+def bell_x_elements(u: np.ndarray, kind: BellKind) -> BellXElements:
+    """The qubit block of a Bell pair of identical atoms at each U of a
+    (T, 2, 2) stack of no-jump propagators, with no pair evolution.
 
     Jumps only feed the ground level |3>, so (after Bellomo, Lo Franco and
     Compagno, PRL 99, 160502 (2007)) the block is a polynomial in two
@@ -188,20 +169,21 @@ def bell_x_elements(params: VParams, kind: BellKind, t: np.ndarray) -> BellXElem
         psi: rho11 = s^2/2, rho22 = rho33 = s (1 - P)/2,
              rho44 = (1 + (1 - P)^2)/2, |rho14| = s/2;
         phi: rho22 = rho33 = |rho23| = s/2, rho44 = 1 - P, rho11 = 0.
+
+    The stack is ``no_jump_propagators(params, t)`` for a grid of times,
+    or ``steady_no_jump(params)[None]`` for the long-time block. U(infinity)
+    is the projector onto a real decay-free direction, or zero, so U11 is
+    real and non-negative there and the live antidiagonal entry equals its
+    magnitude.
     """
-    return _bell_x_from_no_jump(no_jump_propagators(params, t), kind)
-
-
-def steady_bell_x_elements(params: VParams, kind: BellKind) -> BellXElements:
-    """The same reader at U(infinity) (``steady_no_jump``): the long-time
-    block of a Bell pair, as arrays of one entry.
-
-    U(infinity) is the projector onto a real decay-free direction, or zero,
-    so U11 is real and non-negative there and the live antidiagonal entry
-    equals its magnitude. Raises NoConvergence where a decay-free level
-    keeps rotating.
-    """
-    return _bell_x_from_no_jump(steady_no_jump(params)[None], kind)
+    s = (u[..., 0, 0] * u[..., 0, 0].conj()).real
+    loss = 1.0 - (s + (u[..., 1, 0] * u[..., 1, 0].conj()).real)  # 1 - P
+    half_s = 0.5 * s
+    zero = np.zeros_like(s)
+    if kind is BellKind.PSI:
+        side = half_s * loss
+        return BellXElements(half_s * s, side, side, 0.5 * (1.0 + loss * loss), half_s, zero)
+    return BellXElements(zero, half_s, half_s, loss, zero, half_s)
 
 
 def published_pair_elements(params: VParams, kind: BellKind,

@@ -18,25 +18,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bipartite import (
-    BellKind,
-    apply_pair_channel,
-    bell_state,
-    product_state,
-    published_pair_elements,
-    qubit_block,
-    steady_bell_x_elements,
-)
+from .bipartite import BellKind, bell_x_elements, product_state, published_pair_elements
 from .entanglement import CURVE_COLUMNS, concurrence_curve, esd_time
 from .vsystem import (
     VParams,
     apply_channel,
     excited_state,
     ground_state,
-    hermitize,
+    no_jump_propagators,
     propagate_channel,
     published_rho11_infinity,
     published_single_atom,
+    single_atom_states,
+    steady_no_jump,
     steady_state,
     superposition_state,
 )
@@ -212,10 +206,10 @@ def run_single(cfg: RunConfig) -> int:
 
 def run_steady(cfg: RunConfig) -> int:
     """Long-time report of a Bell start, every field read from U(infinity)
-    by the Bell reader (``steady_bell_x_elements``)."""
+    (``steady_no_jump``) by the Bell reader (``bell_x_elements``)."""
     _require_format(cfg, "json", "steady")
     kind = BellKind(cfg.bell)
-    x = steady_bell_x_elements(_params(cfg), kind)
+    x = bell_x_elements(steady_no_jump(_params(cfg))[None], kind)
     trace = float(x.trace[0])
     r11, r22, r33, r44, r14, r23 = (float(v[0]) / trace for v in x)
     ratio = None
@@ -225,7 +219,7 @@ def run_steady(cfg: RunConfig) -> int:
         ratio = r14 / denom if denom > 1e-15 else None
         eta2 = cfg.eta**2
         ratio_published = 4.0 * (eta2 / (1.0 + eta2))
-    # an X state, real at t = infinity (see steady_bell_x_elements)
+    # an X state, real at t = infinity (see bell_x_elements)
     rho = [[r11, 0.0, 0.0, r14], [0.0, r22, r23, 0.0], [0.0, r23, r33, 0.0], [r14, 0.0, 0.0, r44]]
     report = {
         "eta": cfg.eta,
@@ -242,7 +236,7 @@ def run_steady(cfg: RunConfig) -> int:
 
 
 # Times per chunk of the compare grid: keeps its stacked temporaries near
-# 2 MB at any --steps, where the whole grid at once grows without bound.
+# 0.6 MB at any --steps, where the whole grid at once grows without bound.
 COMPARE_CHUNK = 256
 
 # The audited elements of each report section, in report order.
@@ -258,25 +252,24 @@ def _compare_deviations(params: VParams, times: np.ndarray) -> np.ndarray:
     """max |published - oracle| of each audited element over ``times``, in
     _COMPARE_SECTIONS order.
 
-    One channel per time, stacked: both single-atom states are read with
-    one matmul and each Bell pair with one stacked pair map.
+    One stack of no-jump propagators U over ``times``: both single-atom
+    starts are read from it by ``single_atom_states`` and both Bell pairs
+    by ``bell_x_elements``.
     """
-    chan = np.stack([propagate_channel(params, t) for t in times])
-    starts = np.stack([excited_state(), superposition_state()])
-    singles = hermitize((starts.reshape(2, 9) @ chan.swapaxes(-1, -2)).reshape(-1, 2, 3, 3))
+    u = no_jump_propagators(params, times)
     deviations = []
-    for k, rho0 in enumerate(starts):
+    for rho0 in (excited_state(), superposition_state()):
         pub = published_single_atom(params, rho0, times)
-        rho = singles[:, k]
+        rho = single_atom_states(u, rho0)
         deviations += [pub.rho11 - rho[:, 0, 0].real, pub.rho33 - rho[:, 2, 2].real,
                        pub.rho13 - rho[:, 0, 2]]
-    psi = qubit_block(apply_pair_channel(chan, chan, bell_state(BellKind.PSI)))
+    psi = bell_x_elements(u, BellKind.PSI)
     pub = published_pair_elements(params, BellKind.PSI, times)
-    deviations += [pub["rho14"] - np.abs(psi[:, 0, 3]), pub["rho22"] - psi[:, 1, 1].real,
-                   pub["rho33"] - psi[:, 2, 2].real, pub["rho11"] / 2.0 - psi[:, 0, 0].real]
-    phi = qubit_block(apply_pair_channel(chan, chan, bell_state(BellKind.PHI)))
+    deviations += [pub["rho14"] - psi.rho14_abs, pub["rho22"] - psi.rho22,
+                   pub["rho33"] - psi.rho33, pub["rho11"] / 2.0 - psi.rho11]
+    phi = bell_x_elements(u, BellKind.PHI)
     pub = published_pair_elements(params, BellKind.PHI, times)
-    deviations.append(pub["rho23"] - np.abs(phi[:, 1, 2]))
+    deviations.append(pub["rho23"] - phi.rho23_abs)
     return np.abs(deviations).max(axis=1)
 
 

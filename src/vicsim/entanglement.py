@@ -25,10 +25,9 @@ from .bipartite import (
     evolve_pair,
     project_to_qubits,
     published_pair_elements,
-    steady_bell_x_elements,
     steady_pair,
 )
-from .vsystem import UnsupportedParams, VParams
+from .vsystem import UnsupportedParams, VParams, no_jump_propagators, steady_no_jump
 
 # Entries allowed to be nonzero in an X-shaped 4x4 state.
 _X_MASK = np.zeros((4, 4), dtype=bool)
@@ -123,14 +122,14 @@ def _paper_readout(params: VParams, kind: BellKind,
     with the elements behind it, all arrays.
 
     The published forms are normalized by the projected trace, and phi's
-    rho22 and rho33 (never printed) are read, from ``bell_x_elements``:
-    the 2x2 no-jump propagator, with no pair evolution. No trace is near
-    zero: psi's is at least its rho44 >= 1/2, and phi's, 1 - |U21|^2, is
-    at least 3/4 at p = 1, where |U21| <= eta / (1 + eta^2).
+    rho22 and rho33 (never printed) are read, by ``bell_x_elements`` from
+    the stack of 2x2 no-jump propagators, with no pair evolution. No trace
+    is near zero: psi's is at least its rho44 >= 1/2, and phi's,
+    1 - |U21|^2, is at least 3/4 at p = 1, where |U21| <= eta / (1 + eta^2).
     """
     with np.errstate(over="ignore"):  # an overflowing time is inf, which the reader rejects
         times = gamma_ts / params.gamma
-    pair = bell_x_elements(params, kind, times)
+    pair = bell_x_elements(no_jump_propagators(params, times), kind)
     trace = pair.trace
     signed, elements = _published_branch(published_pair_elements(params, kind, times), kind, trace)
     if kind is BellKind.PHI:
@@ -192,9 +191,10 @@ def concurrence_curve(
 
 def steady_concurrence(params: VParams, kind: BellKind) -> float:
     """Concurrence of the long-time projected Bell pair, read from U(infinity)
-    by the Bell reader (``steady_bell_x_elements``), with no pair state.
-    Raises NoConvergence where a decay-free level keeps rotating."""
-    return max(0.0, float(steady_bell_x_elements(params, kind).signed_concurrence[0]))
+    (``steady_no_jump``) by the Bell reader (``bell_x_elements``), with no
+    pair state. Raises NoConvergence where a decay-free level keeps rotating."""
+    x = bell_x_elements(steady_no_jump(params)[None], kind)
+    return max(0.0, float(x.signed_concurrence[0]))
 
 
 @dataclass(frozen=True)
@@ -254,11 +254,12 @@ def esd_time(
     if limit > 10.0 * threshold:
         return EsdResult("asymptotic_positive", concurrence_limit=limit)
     if bell_start and method == "oracle":
-        # By the elements of bipartite.bell_x_elements the live branch before
-        # normalisation is s P / 2 (psi) or s / 2 (phi), s = |U11|^2: neither
-        # is a difference, and U11 is analytic in t with U11(0) = 1, so its
-        # zeros are isolated instants: no finite-time death exists at any
-        # (eta, p, omega), and a scan would only find rounding noise.
+        # By the elements bipartite.bell_x_elements reads from U, the live
+        # branch before normalisation is s P / 2 (psi) or s / 2 (phi),
+        # s = |U11|^2: neither is a difference, and U11 is analytic in t
+        # with U11(0) = 1, so its zeros are isolated instants: no finite-time
+        # death exists at any (eta, p, omega), and a scan would only find
+        # rounding noise.
         return EsdResult("asymptotic_zero")
     if method == "paper":
         # The normalising trace is positive, so the unnormalised published

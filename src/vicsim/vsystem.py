@@ -319,18 +319,40 @@ def steady_no_jump(params: VParams, rho0: np.ndarray | None = None) -> np.ndarra
 def steady_channel(params: VParams, rho0: np.ndarray | None = None) -> np.ndarray:
     """Infinite-time limit of the propagator: the 9x9 no-jump assembly of
     U(infinity) (``steady_no_jump``, which raises NoConvergence where the
-    limit does not exist). Bell starts need only U(infinity) itself
-    (``bipartite.steady_bell_x_elements``); this channel serves explicit
-    single-atom and pair states."""
+    limit does not exist). The readers take U(infinity) itself
+    (``steady_state``, ``bipartite.bell_x_elements``); this channel serves
+    the steady pair of an explicit pair state."""
     return _channel_from_no_jump(steady_no_jump(params, rho0))
+
+
+def single_atom_states(u: np.ndarray, rho0: np.ndarray) -> np.ndarray:
+    """The single-atom state evolved from rho0 by each U of a (T, 2, 2) stack
+    of no-jump propagators, as a (T, 3, 3) stack.
+
+    Jumps only feed the ground level, so rho_ee -> U rho_ee U^+, rho_e3 ->
+    U rho_e3, and rho_33 gains the excited weight lost, tr((1 - U^+ U)
+    rho_ee): the channel of ``_channel_from_no_jump``, with no channel built.
+    """
+    rho0 = np.asarray(rho0, dtype=complex)
+    u_dag = u.conj().swapaxes(-1, -2)
+    ee = rho0[:2, :2]
+    rho = np.zeros(u.shape[:-2] + (3, 3), dtype=complex)
+    rho[..., :2, :2] = u @ ee @ u_dag
+    rho[..., :2, GROUND] = u @ rho0[:2, GROUND]
+    rho[..., GROUND, :2] = rho[..., :2, GROUND].conj()
+    # kept[i, j] = (U^+ U)[j, i], summed over the rows of U as the channel sums it
+    kept = (u[..., :, :, None] * u.conj()[..., :, None, :]).sum(axis=-3)
+    rho[..., GROUND, GROUND] = rho0[GROUND, GROUND] + ((np.eye(2) - kept) * ee).sum(axis=(-2, -1))
+    return hermitize(rho)
 
 
 def steady_state(params: VParams, rho0: np.ndarray) -> np.ndarray:
     """Long-time limit of rho0: its weight on the decay-free excited
     direction (if any) and that direction's coherence with the ground
-    level survive, everything else ends on the ground level."""
+    level survive, everything else ends on the ground level. Read from
+    U(infinity) by ``single_atom_states``."""
     rho0 = np.asarray(rho0, dtype=complex)
-    return apply_channel(steady_channel(params, rho0), rho0)
+    return single_atom_states(steady_no_jump(params, rho0)[None], rho0)[0]
 
 
 def alpha_beta(rho0: np.ndarray) -> tuple[float, float]:
@@ -373,7 +395,7 @@ def published_single_atom(params: VParams, rho0: np.ndarray,
     rho11 = (
         0.5 * x * (rho0[0, 0] - rho0[1, 1]).real
         + 0.5 * (2.0 / (1.0 + eta2) * x2 - (1.0 - eta2) / (1.0 + eta2) * x) * al
-        + 0.5 * (2.0 * eta2 / (1.0 + eta2) - (1.0 - eta2) / (1.0 + eta2) * x) * be
+        + 0.5 * (2.0 * (eta2 / (1.0 + eta2)) - (1.0 - eta2) / (1.0 + eta2) * x) * be
     )
     rho33 = 1.0 - x2 * al - be
     rho13 = ((eta2 + x) * rho0[0, 2] - params.eta * (1.0 - x) * rho0[1, 2]) / (1.0 + eta2)

@@ -10,7 +10,9 @@ import warnings
 import numpy as np
 import pytest
 
+import vicsim.bipartite
 import vicsim.cli
+import vicsim.vsystem
 from vicsim.bipartite import (
     BellKind,
     apply_pair_channel,
@@ -351,17 +353,42 @@ def test_compare_half_eta_only_coherence_element_matches(capsys):
     assert psi["rho22"] > 1e-6
 
 
-def test_compare_builds_one_channel_per_time(capsys, monkeypatch):
+def test_compare_reads_one_propagator_per_time(capsys, monkeypatch):
     calls = []
+    no_jump = vicsim.vsystem._no_jump_propagator
 
     def counted(params, t):
         calls.append(t)
-        return propagate_channel(params, t)
+        return no_jump(params, t)
 
-    monkeypatch.setattr(vicsim.cli, "propagate_channel", counted)
-    code, _, _ = run_cli(capsys, "compare", "--eta", "0.5", "--steps", "17")
-    assert code == 0
+    def refused(*args, **kwargs):
+        raise AssertionError("compare built a 9x9 channel or a pair state")
+
+    monkeypatch.setattr(vicsim.vsystem, "_no_jump_propagator", counted)
+    # every 9x9 channel is assembled by _channel_from_no_jump
+    for module, name in ((vicsim.vsystem, "_channel_from_no_jump"),
+                         (vicsim.cli, "propagate_channel"),
+                         (vicsim.bipartite, "apply_pair_channel")):
+        monkeypatch.setattr(module, name, refused)
+    code, _, err = run_cli(capsys, "compare", "--eta", "0.5", "--steps", "17")
+    assert code == 0, err
     assert len(calls) == len(set(calls)) == 17
+
+
+def test_compare_at_an_eta_whose_square_nearly_overflows(capsys):
+    # eta^2 = 1e308: the published rho11 doubled eta^2 before dividing it
+    code, out, err = run_cli(capsys, "compare", "--eta", "1e154", "--steps", "3")
+    assert code == 0, err
+
+    def reject(name):
+        raise AssertionError(f"non-finite {name} in the report")
+
+    def finite(token):
+        assert math.isfinite(float(token)), token
+        return float(token)
+
+    single = json.loads(out, parse_constant=reject, parse_float=finite)["single_atom"]
+    assert set(single["excited"]) == set(single["superposition"]) == {"rho11", "rho33", "rho13"}
 
 
 def _per_time_compare(params, times):
@@ -423,7 +450,7 @@ def test_compare_matches_the_per_time_audit(capsys, eta, gamma):
 
 def test_compare_temporaries_stay_bounded(capsys):
     # a chunk of COMPARE_CHUNK times at a time: the whole 50-chunk grid at once
-    # would stack ~90 MB of channels and pair states
+    # would stack ~11 MB of propagators, states and deviations
     tracemalloc.start()
     try:
         code, _, _ = run_cli(capsys, "compare", "--steps", str(50 * COMPARE_CHUNK))

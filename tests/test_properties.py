@@ -20,12 +20,26 @@ from vicsim.bipartite import (
     evolve_pair,
     project_to_qubits,
     qubit_block,
-    steady_bell_x_elements,
     steady_pair,
 )
 from vicsim.entanglement import CURVE_COLUMNS, concurrence_curve, concurrence_x, x_branch_values
 from vicsim.oracles import concurrence_wootters, propagate_spectral
-from vicsim.vsystem import NoConvergence, VParams, apply_channel, propagate_channel, steady_state
+from vicsim.vsystem import (
+    EXCITED,
+    GROUND,
+    UMBRELLA,
+    NoConvergence,
+    VParams,
+    apply_channel,
+    basis_ket,
+    no_jump_propagators,
+    propagate_channel,
+    pure_state,
+    single_atom_states,
+    steady_channel,
+    steady_no_jump,
+    steady_state,
+)
 from util import einsum_pair_map, random_density
 
 PROFILE = settings(derandomize=True, database=None, deadline=None, max_examples=200)
@@ -80,7 +94,7 @@ def test_x_concurrence_equals_wootters_on_evolved_bell_states(params, kind, t):
 @example(params=VParams(eta=1.3, p=0.4, omega1=-2.0, omega2=1.0), kind=BellKind.PSI, t=0.6)
 def test_bell_reader_equals_the_evolved_qubit_block(params, kind, t):
     block = qubit_block(evolve_pair(params, params, bell_state(kind), t))
-    _assert_reader_is_the_block(bell_x_elements(params, kind, np.array([t])), block)
+    _assert_reader_is_the_block(bell_x_elements(no_jump_propagators(params, [t]), kind), block)
 
 
 def _assert_reader_is_the_block(x, block):
@@ -153,9 +167,9 @@ def test_bell_reader_at_infinity_equals_the_steady_qubit_block(params, kind):
     except NoConvergence:
         # both routes refuse a decay-free level that keeps rotating
         with pytest.raises(NoConvergence):
-            steady_bell_x_elements(params, kind)
+            steady_no_jump(params)
         return
-    _assert_reader_is_the_block(steady_bell_x_elements(params, kind), block)
+    _assert_reader_is_the_block(bell_x_elements(steady_no_jump(params)[None], kind), block)
 
 
 _SEED = st.integers(0, 2**32 - 1)
@@ -169,6 +183,49 @@ def test_closed_form_equals_exponentiated_liouvillian(params, t, seed):
     rho0 = random_density(np.random.default_rng(seed), 3)
     closed = apply_channel(propagate_channel(params, t), rho0)
     assert np.max(np.abs(closed - propagate_spectral(params, rho0, t))) <= 1e-12
+
+
+@PROFILE
+@given(params=_PARAMS, t=_TIME, seed=_SEED)
+@example(params=VParams(eta=0.0, p=0.5), t=3.0, seed=0)
+@example(params=VParams(eta=1e-9, p=1.0), t=7.0, seed=1)
+@example(params=VParams(eta=1.3, p=0.0), t=2.0, seed=2)
+@example(params=VParams(eta=0.7, p=1.0 - 1e-9), t=17.0, seed=3)
+@example(params=VParams(eta=1.3, p=0.4, omega1=-2.0, omega2=1.0), t=0.6, seed=4)
+def test_single_atom_reader_equals_the_channel(params, t, seed):
+    rho0 = random_density(np.random.default_rng(seed), 3)
+    times = [0.0, t / 3.0, t]
+    states = single_atom_states(no_jump_propagators(params, times), rho0)
+    assert states.shape == (3, 3, 3)
+    for rho, s in zip(states, times):
+        assert np.array_equal(rho, rho.conj().T)
+        assert np.max(np.abs(rho - apply_channel(propagate_channel(params, s), rho0))) <= 1e-13
+
+
+def _steady_starts(rng):
+    """A random state, then pure states with and without coherence between
+    each excited level and the ground level."""
+    kets = (basis_ket(EXCITED), basis_ket(UMBRELLA) + basis_ket(GROUND),
+            basis_ket(EXCITED) + basis_ket(GROUND), basis_ket(GROUND))
+    return [random_density(rng, 3)] + [pure_state(ket) for ket in kets]
+
+
+@PROFILE
+@given(params=_PARAMS, seed=_SEED)
+@example(params=VParams(eta=0.0, p=0.3, omega2=1.5), seed=0)  # the umbrella level keeps rotating
+@example(params=VParams(eta=0.0, p=0.3, omega1=1.0), seed=1)
+@example(params=VParams(eta=0.7, p=1.0, omega1=0.4, omega2=0.4), seed=2)
+@example(params=VParams(eta=0.7, p=1.0 - 1e-9), seed=3)
+@example(params=VParams(eta=1e100, p=1.0), seed=4)
+def test_steady_state_is_the_steady_channel(params, seed):
+    for rho0 in _steady_starts(np.random.default_rng(seed)):
+        try:
+            want = apply_channel(steady_channel(params, rho0), rho0)
+        except NoConvergence:
+            with pytest.raises(NoConvergence):
+                steady_state(params, rho0)
+            continue
+        assert np.max(np.abs(steady_state(params, rho0) - want)) <= 1e-15
 
 
 def _decay_rates(params):

@@ -425,6 +425,18 @@ def test_published_single_atom_takes_an_array_of_times():
                 assert getattr(batched, field)[i] == getattr(alone, field), (field, t)
 
 
+def test_published_single_atom_is_finite_where_twice_eta_squared_overflows():
+    # eta^2 = 1e308 is a float, 2 eta^2 is not
+    params = VParams(eta=1e154, p=1.0)
+    for rho0 in sample_states():
+        pub = published_single_atom(params, rho0, np.array([0.0, 1e-300, 1.0]))
+        for field in pub:
+            assert np.isfinite(field).all()
+    # once everything bright has decayed, the printed rho11 is beta
+    pub = published_single_atom(params, excited_state(), 1.0)
+    assert abs(pub.rho11 - 0.5) <= 1e-15
+
+
 def test_published_long_time_deviation_reported_not_hidden():
     # away from eta = 1 the printed limit differs from the generator's:
     # published 1/3 vs oracle 4/9 at eta = sqrt(2)
