@@ -4,7 +4,9 @@ Subcommands: curve (concurrence vs gamma*t as CSV), single (one-atom
 trajectory as CSV), steady (long-time report as JSON), compare
 (published closed forms vs master-equation oracle as JSON), esd
 (sudden-death search as JSON). Output is deterministic: fixed %.12e
-formatting for CSV, insertion-ordered keys for JSON.
+formatting for CSV, insertion-ordered keys for JSON. OPTIONS declares
+each option and COMMANDS each command's rules; RunConfig, the config-file
+reader, the parser and every check are read from the two.
 """
 
 from __future__ import annotations
@@ -13,68 +15,80 @@ import argparse
 import json
 import math
 import sys
-from contextlib import nullcontext
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import field, make_dataclass
+from functools import cache
+from typing import Any, NamedTuple
 
 import numpy as np
 
 from .bipartite import BellKind, bell_x_elements, product_state, published_pair_elements
-from .entanglement import CURVE_COLUMNS, concurrence_curve, esd_time
+from .entanglement import CURVE_COLUMNS, ESD_HORIZON, concurrence_curve, esd_time
 from .vsystem import (
-    VParams,
-    apply_channel,
-    excited_state,
-    ground_state,
-    no_jump_propagators,
-    propagate_channel,
-    published_rho11_infinity,
-    published_single_atom,
-    single_atom_states,
-    steady_no_jump,
-    steady_state,
-    superposition_state,
+    VParams, apply_channel, excited_state, ground_state, no_jump_propagators, propagate_channel,
+    published_rho11_infinity, published_single_atom, single_atom_states, steady_no_jump,
+    steady_state, superposition_state,
 )
 
 CURVE_HEADER = ",".join(CURVE_COLUMNS)
 SINGLE_HEADER = "gamma_t,rho11,rho22,rho33,rho13_re,rho13_im"
 
-_INITIAL_STATES = {
-    "excited": excited_state,
-    "ground": ground_state,
-    "superposition": superposition_state,
-}
+METHODS = ("oracle", "paper")
 
 
 class ConfigError(ValueError):
     """Invalid flag or config-file value."""
 
 
-@dataclass
-class RunConfig:
-    gamma: float = 1.0
-    eta: float = 1.0
-    p: float = 1.0
-    bell: str = "psi"
-    t_max: float = 10.0
-    steps: int = 1000
-    method: str = "oracle"
-    initial: str | None = None
-    output: str = "-"
-    format: str | None = None
+class Option(NamedTuple):
+    """A flag with its type, default, help (the default through ``{}``;
+    None: each command taking it gives its own) and allowed values: the
+    default or one of ``choices`` (else the ``unknown`` diagnostic),
+    passing each (test, what it must be) of ``rules``. VParams holds the
+    rules of gamma, eta and p.
+    """
+
+    flag: str
+    type: type
+    default: Any
+    help: str | None
+    choices: tuple[str, ...] = ()
+    rules: tuple[tuple[Callable[[Any], bool], str], ...] = ()
+    in_config: bool = True  # a RunConfig field and config-file key
+    unknown: str = "{name} must be {choices}, got {value!r}"
+
+    def check(self, value: Any) -> None:
+        if self.choices and value != self.default and value not in self.choices:
+            raise ConfigError(self.unknown.format(name=self.flag[2:], value=value,
+                                                  choices=" or ".join(self.choices)))
+        for test, what in self.rules:
+            if not test(value):
+                raise ConfigError(f"{self.flag[2:]} must be {what}, got {value!r}")
 
 
-_CONFIG_TYPES = {
-    "gamma": float,
-    "eta": float,
-    "p": float,
-    "bell": str,
-    "t_max": float,
-    "steps": int,
-    "method": str,
-    "initial": str,
-    "output": str,
-    "format": str,
-}
+OPTIONS = (
+    Option("--gamma", float, 1.0, "decay half-rate of the qubit transition (default {:g})"),
+    Option("--eta", float, 1.0, "dipole ratio of umbrella to qubit transition (default {:g})"),
+    Option("--p", float, 1.0, "interference factor in [0, 1] (default {:g})"),
+    Option("--bell", str, "psi", "initial Bell state (default {})", choices=("psi", "phi")),
+    Option("--t-max", float, 10.0, "gamma*t horizon (default {:g})",
+           rules=((lambda v: v > 0, "positive"), (lambda v: v != math.inf, "finite"))),
+    Option("--steps", int, 1000, "number of samples (default {})",
+           rules=((lambda v: v >= 2, "at least 2"),)),
+    Option("--method", str, "oracle",
+           "oracle evolution or published closed forms (default {})", choices=METHODS),
+    Option("--initial", str, None, None),
+    Option("--output", str, "-", "output path, or - for stdout (default)"),
+    Option("--format", str, None, "output format (per-command default)", choices=("csv", "json")),
+    Option("--config", str, None, "key=value config file; flags take precedence", in_config=False),
+)
+
+# The options a run is configured by, by config key and RunConfig field:
+# the flag's name with "_" for "-".
+_OPTIONS = {option.flag[2:].replace("-", "_"): option for option in OPTIONS if option.in_config}
+
+RunConfig = make_dataclass("RunConfig", [(key, option.type, field(default=option.default))
+                                         for key, option in _OPTIONS.items()])
 
 
 def _load_config_file(path: str) -> dict:
@@ -90,62 +104,38 @@ def _load_config_file(path: str) -> dict:
             continue
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if key not in _CONFIG_TYPES:
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in _OPTIONS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         try:
-            values[key] = _CONFIG_TYPES[key](value.strip())
+            values[key] = _OPTIONS[key].type(value)
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
     return values
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    """Merge precedence: command-line flag > config file > built-in default."""
-    file_values = _load_config_file(args.config) if getattr(args, "config", None) else {}
-    cfg = RunConfig()
-    for key in _CONFIG_TYPES:
-        cli_value = getattr(args, key, None)
-        if cli_value is not None:
-            setattr(cfg, key, cli_value)
-        elif key in file_values:
-            setattr(cfg, key, file_values[key])
-    _validate_config(cfg)
-    return cfg
-
-
-def _validate_config(cfg: RunConfig) -> None:
+    """Merge precedence: command-line flag > config file > built-in default;
+    then check every option, and the rules of the command."""
+    values = _load_config_file(args.config) if args.config else {}
+    values.update({key: value for key, value in vars(args).items()
+                   if value is not None and key in _OPTIONS})
+    cfg = RunConfig(**values)
     _params(cfg)  # VParams validates gamma, eta and p
-    if cfg.bell not in ("psi", "phi"):
-        raise ConfigError(f"bell must be psi or phi, got {cfg.bell!r}")
-    if not cfg.t_max > 0:
-        raise ConfigError(f"t-max must be positive, got {cfg.t_max}")
-    if cfg.t_max == math.inf:
-        raise ConfigError(f"t-max must be finite, got {cfg.t_max}")
-    if cfg.steps < 2:
-        raise ConfigError(f"steps must be at least 2, got {cfg.steps}")
-    if cfg.method not in ("oracle", "paper"):
-        raise ConfigError(f"method must be oracle or paper, got {cfg.method!r}")
-    if cfg.format not in (None, "csv", "json"):
-        raise ConfigError(f"format must be csv or json, got {cfg.format!r}")
-
-
-def _require_format(cfg: RunConfig, expected: str, command: str) -> None:
-    if cfg.format is not None and cfg.format != expected:
-        raise ConfigError(f"{command} emits {expected} only, got format {cfg.format!r}")
-
-
-def _open_output(path: str):
-    if path in ("-", ""):
-        return nullcontext(sys.stdout)
-    return open(path, "w", encoding="utf-8", newline="")
+    for key, option in _OPTIONS.items():
+        if key in values:  # every default holds its rules
+            option.check(values[key])
+    COMMANDS[args.command].check(args.command, cfg)
+    return cfg
 
 
 def _write(cfg: RunConfig, text: str) -> None:
     try:
-        with _open_output(cfg.output) as fh:
-            fh.write(text)
+        if cfg.output in ("-", ""):
+            sys.stdout.write(text)
+        else:
+            with open(cfg.output, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
     except OSError as exc:  # a missing directory, a directory path, a full disk
         raise ConfigError(f"cannot write {cfg.output}: {exc}") from None
 
@@ -178,24 +168,24 @@ def _json_dump(report: dict) -> str:
     return _JSON.encode(report) + "\n"
 
 
+def _echo(cfg: RunConfig, *keys: str) -> dict:
+    """The report fields that repeat the run's options ``keys``."""
+    return {key: getattr(cfg, key) for key in keys}
+
+
 def run_curve(cfg: RunConfig) -> int:
-    _require_format(cfg, "csv", "curve")
-    if cfg.method == "paper" and cfg.p != 1.0:
-        raise ConfigError("method paper requires p = 1")
     curve = concurrence_curve(_params(cfg), BellKind(cfg.bell), _grid(cfg), cfg.method)
     _write_csv(cfg, CURVE_HEADER, curve.columns())
     return 0
 
 
+_SINGLE_STARTS = {"excited": excited_state, "ground": ground_state,
+                  "superposition": superposition_state}
+
+
 def run_single(cfg: RunConfig) -> int:
-    _require_format(cfg, "csv", "single")
-    if cfg.method != "oracle":
-        raise ConfigError("single supports the oracle method only")
-    initial = cfg.initial or "excited"
-    if initial not in _INITIAL_STATES:
-        raise ConfigError(f"unknown initial state {initial!r}")
     params = _params(cfg)
-    rho0 = _INITIAL_STATES[initial]()
+    rho0 = _SINGLE_STARTS[cfg.initial]()
     grid = _grid(cfg)
     rho = np.array([apply_channel(propagate_channel(params, gamma_t / params.gamma), rho0)
                     for gamma_t in grid.tolist()])
@@ -207,13 +197,11 @@ def run_single(cfg: RunConfig) -> int:
 def run_steady(cfg: RunConfig) -> int:
     """Long-time report of a Bell start, every field read from U(infinity)
     (``steady_no_jump``) by the Bell reader (``bell_x_elements``)."""
-    _require_format(cfg, "json", "steady")
     kind = BellKind(cfg.bell)
     x = bell_x_elements(steady_no_jump(_params(cfg))[None], kind)
     trace = float(x.trace[0])
     r11, r22, r33, r44, r14, r23 = (float(v[0]) / trace for v in x)
-    ratio = None
-    ratio_published = None
+    ratio = ratio_published = None
     if kind is BellKind.PSI:
         denom = math.sqrt(max(r22, 0.0) * max(r33, 0.0))
         ratio = r14 / denom if denom > 1e-15 else None
@@ -222,9 +210,7 @@ def run_steady(cfg: RunConfig) -> int:
     # an X state, real at t = infinity (see bell_x_elements)
     rho = [[r11, 0.0, 0.0, r14], [0.0, r22, r23, 0.0], [0.0, r23, r33, 0.0], [r14, 0.0, 0.0, r44]]
     report = {
-        "eta": cfg.eta,
-        "p": cfg.p,
-        "bell": cfg.bell,
+        **_echo(cfg, "eta", "p", "bell"),
         "concurrence_infinity": max(0.0, float(x.signed_concurrence[0])),
         "ratio_rho14_over_sqrt_rho22_rho33": ratio,
         "ratio_published_formula": ratio_published,
@@ -282,42 +268,27 @@ def run_compare(cfg: RunConfig) -> int:
     the printed form and the printed t = 0 value is flagged alongside.
     The grid is read COMPARE_CHUNK times at a time.
     """
-    _require_format(cfg, "json", "compare")
-    if cfg.p != 1.0:
-        raise ConfigError("compare requires p = 1")
     params = _params(cfg)
-    with np.errstate(over="ignore"):  # an overflowing time is inf, which the propagator rejects
-        times = _grid(cfg) / params.gamma
+    times = _grid(cfg) / params.gamma  # finite: the horizon rule bounds t-max / gamma
     worst = np.max([_compare_deviations(params, times[i:i + COMPARE_CHUNK])
                     for i in range(0, times.size, COMPARE_CHUNK)], axis=0)
     values = iter(worst.tolist())
     sections = {name: {key: next(values) for key in keys} for name, keys in _COMPARE_SECTIONS.items()}
 
-    rho_inf = steady_state(params, excited_state())
-    oracle_inf = float(rho_inf[0, 0].real)
+    oracle_inf = float(steady_state(params, excited_state())[0, 0].real)
     published_inf = published_rho11_infinity(params, excited_state())
 
     printed_t0 = published_pair_elements(params, BellKind.PSI, 0.0)["rho11"]
     report = {
-        "eta": cfg.eta,
-        "p": cfg.p,
-        "gamma": cfg.gamma,
-        "t_max": cfg.t_max,
-        "steps": cfg.steps,
+        **_echo(cfg, "eta", "p", "gamma", "t_max", "steps"),
         "single_atom": {
             "excited": sections["excited"],
             "superposition": sections["superposition"],
-            "rho11_infinity": {
-                "published": published_inf,
-                "oracle": oracle_inf,
-                "deviation": abs(published_inf - oracle_inf),
-            },
+            "rho11_infinity": {"published": published_inf, "oracle": oracle_inf,
+                               "deviation": abs(published_inf - oracle_inf)},
         },
-        "pair_psi": {
-            **sections["psi"],
-            "rho11_printed_at_t0": printed_t0,
-            "rho11_required_at_t0": 0.5,
-        },
+        "pair_psi": {**sections["psi"], "rho11_printed_at_t0": printed_t0,
+                     "rho11_required_at_t0": 0.5},
         "pair_phi": sections["phi"],
     }
     _write(cfg, _json_dump(report))
@@ -325,23 +296,10 @@ def run_compare(cfg: RunConfig) -> int:
 
 
 def run_esd(cfg: RunConfig) -> int:
-    _require_format(cfg, "json", "esd")
-    if cfg.method == "paper" and cfg.p != 1.0:
-        raise ConfigError("method paper requires p = 1")
-    rho0 = None
-    if cfg.initial == "product":
-        if cfg.method != "oracle":
-            raise ConfigError("esd --initial product supports the oracle method only")
-        rho0 = product_state(0, 0)  # separable |1A 1B>: already dead at t = 0
-    elif cfg.initial is not None:
-        raise ConfigError(f"esd accepts only initial=product, got {cfg.initial!r}")
+    # the one --initial, product: separable |1A 1B>, already dead at t = 0
+    rho0 = product_state(0, 0) if cfg.initial else None
     result = esd_time(_params(cfg), BellKind(cfg.bell), rho0=rho0, method=cfg.method)
-    report = {
-        "eta": cfg.eta,
-        "p": cfg.p,
-        "bell": cfg.bell,
-        "kind": result.kind,
-    }
+    report = {**_echo(cfg, "eta", "p", "bell"), "kind": result.kind}
     if result.kind == "vanishes_at":
         report["gamma_t_death"] = result.gamma_t_death
     elif result.kind == "asymptotic_positive":
@@ -350,13 +308,68 @@ def run_esd(cfg: RunConfig) -> int:
     return 0
 
 
-_COMMANDS = {
-    "curve": run_curve,
-    "single": run_single,
-    "steady": run_steady,
-    "compare": run_compare,
-    "esd": run_esd,
+class Command(NamedTuple):
+    """The rules of a subcommand, checked in field order by ``check``,
+    which also resolves its --initial."""
+
+    run: Callable[[RunConfig], int]
+    help: str
+    format: str  # the one format it emits
+    methods: tuple[str, ...] = ()  # the methods it reads (none: it ignores --method)
+    needs_p1: bool = False  # at any method; method paper always needs p = 1
+    # its --initial flag: the --initial option with this command's default
+    # start (None: the command's own), help and start names; and the methods
+    # a start other than the default supports
+    initial: Option | None = None
+    initial_methods: tuple[str, ...] = METHODS
+    # the largest gamma*t it divides by gamma, named (None: it divides none)
+    horizon: Callable[[RunConfig], tuple[str, float] | None] = lambda cfg: ("t-max", cfg.t_max)
+
+    def check(self, name: str, cfg: RunConfig) -> None:
+        if cfg.format is not None and cfg.format != self.format:
+            raise ConfigError(f"{name} emits {self.format} only, got format {cfg.format!r}")
+        if self.methods and cfg.method not in self.methods:
+            raise ConfigError(f"{name} supports the {' or '.join(self.methods)} method only")
+        if self.methods and cfg.method == "paper" and cfg.p != 1.0:
+            raise ConfigError("method paper requires p = 1")
+        if self.needs_p1 and cfg.p != 1.0:
+            raise ConfigError(f"{name} requires p = 1")
+        if (initial := self.initial) is not None:
+            if initial.default:  # an empty config-file value reads as the default
+                cfg.initial = cfg.initial or initial.default
+            initial.check(cfg.initial)
+            if cfg.initial != initial.default and cfg.method not in self.initial_methods:
+                raise ConfigError(f"{name} --initial {cfg.initial} supports the "
+                                  f"{' or '.join(self.initial_methods)} method only")
+        horizon = self.horizon(cfg)
+        if horizon is not None and horizon[1] / cfg.gamma == math.inf:
+            raise ConfigError(f"gamma = {cfg.gamma!r} is too small: {horizon[0]} / gamma = "
+                              f"{horizon[1]!r} / {cfg.gamma!r} overflows")
+
+
+COMMANDS = {
+    "curve": Command(run_curve, "concurrence vs gamma*t as CSV", "csv", METHODS),
+    "single": Command(run_single, "single-atom trajectory as CSV", "csv", ("oracle",),
+                      initial=_OPTIONS["initial"]._replace(
+                          default="excited", choices=tuple(_SINGLE_STARTS),
+                          help="initial single-atom state (default {})",
+                          unknown="unknown initial state {value!r}")),
+    "steady": Command(run_steady, "long-time report as JSON", "json", horizon=lambda cfg: None),
+    "compare": Command(run_compare, "published closed forms vs oracle, as JSON", "json",
+                       needs_p1=True),
+    "esd": Command(run_esd, "sudden-death search as JSON", "json", METHODS,
+                   initial=_OPTIONS["initial"]._replace(
+                       choices=("product",),
+                       help="replace the Bell start with a separable product state",
+                       unknown="esd accepts only initial={choices}, got {value!r}"),
+                   initial_methods=("oracle",),
+                   # the oracle Bell start is answered from U(infinity), at no time
+                   horizon=lambda cfg: ("the esd scan horizon", ESD_HORIZON)
+                   if cfg.method == "paper" or cfg.initial else None),
 }
+
+# The run function of each command, called once its rules hold.
+_COMMANDS = {name: command.run for name, command in COMMANDS.items()}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -364,45 +377,28 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"error: {message}\n")
 
 
+def _add_flag(parser: argparse.ArgumentParser, option: Option) -> None:
+    parser.add_argument(option.flag, type=option.type, choices=option.choices or None,
+                        help=option.help.format(option.default))
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
-    common.add_argument("--gamma", type=float, help="decay half-rate of the qubit transition (default 1)")
-    common.add_argument("--eta", type=float, help="dipole ratio of umbrella to qubit transition (default 1)")
-    common.add_argument("--p", type=float, help="interference factor in [0, 1] (default 1)")
-    common.add_argument("--bell", choices=["psi", "phi"], help="initial Bell state (default psi)")
-    common.add_argument("--t-max", dest="t_max", type=float, help="gamma*t horizon (default 10)")
-    common.add_argument("--steps", type=int, help="number of samples (default 1000)")
-    common.add_argument("--method", choices=["oracle", "paper"],
-                        help="oracle evolution or published closed forms (default oracle)")
-    common.add_argument("--output", help="output path, or - for stdout (default)")
-    common.add_argument("--format", choices=["csv", "json"], help="output format (per-command default)")
-    common.add_argument("--config", help="key=value config file; flags take precedence")
-
+    for option in OPTIONS:
+        if option.help is not None:
+            _add_flag(common, option)
     parser = _Parser(prog="vicsim",
                      description="Interference-protected entanglement of two V-atom qubits")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("curve", parents=[common], help="concurrence vs gamma*t as CSV")
-    single = sub.add_parser("single", parents=[common], help="single-atom trajectory as CSV")
-    single.add_argument("--initial", choices=["excited", "ground", "superposition"],
-                        help="initial single-atom state (default excited)")
-    sub.add_parser("steady", parents=[common], help="long-time report as JSON")
-    sub.add_parser("compare", parents=[common],
-                   help="published closed forms vs oracle, as JSON")
-    esd = sub.add_parser("esd", parents=[common], help="sudden-death search as JSON")
-    esd.add_argument("--initial", choices=["product"],
-                     help="replace the Bell start with a separable product state")
+    for name, command in COMMANDS.items():
+        subparser = sub.add_parser(name, parents=[common], help=command.help)
+        if command.initial is not None:
+            _add_flag(subparser, command.initial)
     return parser
 
 
-_PARSER: argparse.ArgumentParser | None = None
-
-
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built on first use and reused by every later call."""
-    global _PARSER
-    if _PARSER is None:
-        _PARSER = _build_parser()
-    return _PARSER
+# The parser, built on first use and reused by every later call.
+_parser = cache(_build_parser)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -411,8 +407,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse reports usage errors as exit 2
         return int(exc.code or 0)
     try:
-        cfg = _resolve_config(args)
-        return _COMMANDS[args.command](cfg)
+        return _COMMANDS[args.command](_resolve_config(args))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

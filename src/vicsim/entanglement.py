@@ -197,6 +197,10 @@ def steady_concurrence(params: VParams, kind: BellKind) -> float:
     return max(0.0, float(x.signed_concurrence[0]))
 
 
+# The gamma*t up to which esd_time scans for a death by default.
+ESD_HORIZON = 50.0
+
+
 @dataclass(frozen=True)
 class EsdResult:
     """Outcome of the sudden-death search.
@@ -217,7 +221,7 @@ def esd_time(
     rho0: np.ndarray | None = None,
     method: str = "oracle",
     threshold: float = 1e-12,
-    horizon: float = 50.0,
+    horizon: float = ESD_HORIZON,
     samples: int = 1001,
 ) -> EsdResult:
     """Locate entanglement sudden death, if any, on gamma_t in [0, horizon].

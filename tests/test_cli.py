@@ -597,6 +597,27 @@ def test_unallocatable_grid_is_a_diagnostic(capsys, command):
     assert err.count("\n") == 1
 
 
+# Each command form that divides a gamma*t by gamma: t-max, or the esd scan
+# horizon gamma*t = 50.
+TIME_FORMS = [("curve",), ("curve", "--method", "paper"), ("single",), ("compare",),
+              ("esd", "--initial", "product"), ("esd", "--method", "paper")]
+
+
+@pytest.mark.parametrize("form", TIME_FORMS, ids=" ".join)
+def test_a_gamma_too_small_for_the_horizon_is_named(capsys, form):
+    code, out, err = run_cli(capsys, *form, "--gamma", "1e-320", "--steps", "5")
+    assert code == 2 and out == ""
+    horizon = "the esd scan horizon / gamma = 50.0" if form[0] == "esd" else "t-max / gamma = 10.0"
+    assert err == f"error: gamma = 1e-320 is too small: {horizon} / 1e-320 overflows\n"
+
+
+@pytest.mark.parametrize("form", TIME_FORMS + [("steady",), ("esd",)], ids=" ".join)
+def test_a_tiny_gamma_whose_times_stay_finite_runs(capsys, form):
+    gamma = "1e-320" if form in (("steady",), ("esd",)) else "1e-300"
+    code, out, err = run_cli(capsys, *form, "--gamma", gamma, "--steps", "5")
+    assert (code, err) == (0, "")
+
+
 @pytest.mark.parametrize("command", ["curve", "single", "steady", "compare", "esd"])
 @pytest.mark.parametrize("target", ["missing-directory", "directory"])
 def test_unwritable_output_is_a_diagnostic(tmp_path, capsys, command, target):
@@ -647,8 +668,10 @@ RUNTIME_MODULES = ("vicsim", "vicsim.cli", "vicsim.vsystem", "vicsim.bipartite",
 
 def test_cli_import_leaves_scipy_out():
     # the runtime is numpy-only; scipy serves only the oracle cross-checks in
-    # vicsim.oracles, which no runtime module imports
-    probe = "import sys, {}; print(sorted({{'scipy', 'vicsim.oracles'}} & set(sys.modules)))"
+    # vicsim.oracles, which no runtime module imports, and mpmath only the
+    # arbitrary-precision reference of the tests
+    probe = ("import sys, {}; "
+             "print(sorted({{'mpmath', 'scipy', 'vicsim.oracles'}} & set(sys.modules)))")
     procs = [subprocess.Popen([sys.executable, "-c", probe.format(module)],
                               stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
              for module in RUNTIME_MODULES]

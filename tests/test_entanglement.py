@@ -1,7 +1,9 @@
 import contextlib
 import io
+import json
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -184,6 +186,48 @@ def test_steady_concurrence_monotone_in_eta():
         assert all(b > a for a, b in zip(values, values[1:]))
         if kind is BellKind.PHI:
             assert values == pytest.approx(phi_expected, abs=1e-12)
+
+
+def _exact_steady_concurrence(eta2, kind):
+    """Long-time concurrence at p = 1 of a Bell start, exact in the
+    rational eta^2: a^3 / (a^4/2 + a^2 (1 - a) + (1 + (1 - a)^2)/2) for psi
+    and a^2 / (a^2 + 1 - a) for phi, a = eta^2 / (1 + eta^2)."""
+    a = eta2 / (1 + eta2)
+    if kind is BellKind.PSI:
+        return a**3 / (a**4 / 2 + a**2 * (1 - a) + (1 + (1 - a) ** 2) / 2)
+    return a**2 / (a**2 + 1 - a)
+
+
+@pytest.mark.parametrize("kind", [BellKind.PSI, BellKind.PHI])
+def test_steady_concurrence_equals_the_exact_form(kind):
+    for n in range(1, 40):
+        for d in (1, 2, 3, 4, 7, 10):
+            eta = math.sqrt(n / d)
+            want = _exact_steady_concurrence(Fraction(n, d), kind)
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main(["steady", "--eta", repr(eta), "--p", "1", "--bell", kind.value]) == 0
+            for got in (steady_concurrence(VParams(eta=eta), kind),
+                        json.loads(out.getvalue())["concurrence_infinity"]):
+                assert abs(Fraction(got) - want) <= Fraction(2e-15) * want, (n, d, got)
+
+
+# eta at which the long-time concurrence is one half: phi's from
+# a^2 + a - 1 = 0, psi's by bisection on steady_concurrence
+HALF_CROSSINGS = {BellKind.PHI: math.sqrt((1.0 + math.sqrt(5.0)) / 2.0),
+                  BellKind.PSI: 1.7109215054931406}
+
+
+@pytest.mark.parametrize("kind", [BellKind.PSI, BellKind.PHI])
+def test_long_time_concurrence_crosses_one_half(kind):
+    eta = HALF_CROSSINGS[kind]
+    assert abs(steady_concurrence(VParams(eta=eta), kind) - 0.5) <= 2 * math.ulp(0.5)
+    below, above = eta - 1e-6, eta + 1e-6
+    assert steady_concurrence(VParams(eta=below), kind) < 0.5
+    assert steady_concurrence(VParams(eta=above), kind) > 0.5
+    # the exact form crosses within the same bracket
+    assert _exact_steady_concurrence(Fraction(below) ** 2, kind) < Fraction(1, 2)
+    assert _exact_steady_concurrence(Fraction(above) ** 2, kind) > Fraction(1, 2)
 
 
 # ----------------------------------------------------------------------- ESD

@@ -4,8 +4,10 @@
 code and the exact stdout and stderr that ``vicsim.cli.main`` produced
 when it was recorded. The configs cover every subcommand, both methods,
 Bell and product starts, deaths of the published forms around the psi
-survival edge eta = 1/sqrt(3), and a few invalid configs. A change may
-move a printed number by at most 1e-12 (relative above 1); every other
+survival edge eta = 1/sqrt(3), a few invalid configs, configs that break
+two rules at once (only the first is reported), and the help of vicsim
+and of each subcommand, wrapped at 80 columns. A change may move a
+printed number by at most 1e-12 (relative above 1); every other
 character must stay as recorded.
 """
 
@@ -34,7 +36,8 @@ def _assert_same_text(got, want):
 
 
 @pytest.mark.parametrize("case", GOLDEN, ids=[" ".join(c["argv"]) for c in GOLDEN])
-def test_cli_output_matches_golden(case):
+def test_cli_output_matches_golden(case, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(list(case["argv"]))
