@@ -5,8 +5,9 @@ trajectory as CSV), steady (long-time report as JSON), compare
 (published closed forms vs master-equation oracle as JSON), esd
 (sudden-death search as JSON). Output is deterministic: fixed %.12e
 formatting for CSV, insertion-ordered keys for JSON. OPTIONS declares
-each option and COMMANDS each command's rules; RunConfig, the config-file
-reader, the parser and every check are read from the two.
+each option and COMMANDS the flags and rules of each command, which
+takes no flag it does not read; RunConfig, the config-file reader, the
+parser and every check are read from the two.
 """
 
 from __future__ import annotations
@@ -79,9 +80,10 @@ OPTIONS = (
            "oracle evolution or published closed forms (default {})", choices=METHODS),
     Option("--initial", str, None, None),
     Option("--output", str, "-", "output path, or - for stdout (default)"),
-    Option("--format", str, None, "output format (per-command default)", choices=("csv", "json")),
     Option("--config", str, None, "key=value config file; flags take precedence", in_config=False),
 )
+
+SHARED = ("--gamma", "--eta", "--p", "--output", "--config")  # the flags of every command
 
 # The options a run is configured by, by config key and RunConfig field:
 # the flag's name with "_" for "-".
@@ -107,6 +109,9 @@ def _load_config_file(path: str) -> dict:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _OPTIONS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if not value:  # an empty value unsets the key: its default applies
+            values.pop(key, None)
+            continue
         try:
             values[key] = _OPTIONS[key].type(value)
         except ValueError as exc:
@@ -115,9 +120,11 @@ def _load_config_file(path: str) -> dict:
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    """Merge precedence: command-line flag > config file > built-in default;
-    then check every option, and the rules of the command."""
-    values = _load_config_file(args.config) if args.config else {}
+    """Merge precedence: flag > config file > the command's --initial default
+    > built-in default; then check each option given, and the command's rules."""
+    command = COMMANDS[args.command]
+    values = {"initial": command.initial.default} if command.initial else {}
+    values.update(_load_config_file(args.config) if args.config else {})
     values.update({key: value for key, value in vars(args).items()
                    if value is not None and key in _OPTIONS})
     cfg = RunConfig(**values)
@@ -125,7 +132,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     for key, option in _OPTIONS.items():
         if key in values:  # every default holds its rules
             option.check(values[key])
-    COMMANDS[args.command].check(args.command, cfg)
+    command.check(args.command, cfg)
     return cfg
 
 
@@ -309,25 +316,27 @@ def run_esd(cfg: RunConfig) -> int:
 
 
 class Command(NamedTuple):
-    """The rules of a subcommand, checked in field order by ``check``,
-    which also resolves its --initial."""
+    """The flags of a subcommand, and its rules, checked in field order by ``check``."""
 
     run: Callable[[RunConfig], int]
     help: str
-    format: str  # the one format it emits
-    methods: tuple[str, ...] = ()  # the methods it reads (none: it ignores --method)
+    reads: tuple[str, ...] = ()  # the flags it reads beyond SHARED, --method and --initial
+    methods: tuple[str, ...] = ()  # the methods it reads (none: it takes no --method)
     needs_p1: bool = False  # at any method; method paper always needs p = 1
-    # its --initial flag: the --initial option with this command's default
-    # start (None: the command's own), help and start names; and the methods
-    # a start other than the default supports
+    # its --initial flag (None: it takes none), the --initial option with its
+    # own default start, help and start names; and the methods other starts support
     initial: Option | None = None
     initial_methods: tuple[str, ...] = METHODS
     # the largest gamma*t it divides by gamma, named (None: it divides none)
     horizon: Callable[[RunConfig], tuple[str, float] | None] = lambda cfg: ("t-max", cfg.t_max)
 
+    def options(self) -> list[Option]:
+        """The flags it takes, SHARED and those it reads, then its --initial."""
+        takes = SHARED + self.reads + ("--method",) * bool(self.methods)
+        initial = [self.initial] if self.initial else []
+        return [option for option in OPTIONS if option.flag in takes] + initial
+
     def check(self, name: str, cfg: RunConfig) -> None:
-        if cfg.format is not None and cfg.format != self.format:
-            raise ConfigError(f"{name} emits {self.format} only, got format {cfg.format!r}")
         if self.methods and cfg.method not in self.methods:
             raise ConfigError(f"{name} supports the {' or '.join(self.methods)} method only")
         if self.methods and cfg.method == "paper" and cfg.p != 1.0:
@@ -335,8 +344,6 @@ class Command(NamedTuple):
         if self.needs_p1 and cfg.p != 1.0:
             raise ConfigError(f"{name} requires p = 1")
         if (initial := self.initial) is not None:
-            if initial.default:  # an empty config-file value reads as the default
-                cfg.initial = cfg.initial or initial.default
             initial.check(cfg.initial)
             if cfg.initial != initial.default and cfg.method not in self.initial_methods:
                 raise ConfigError(f"{name} --initial {cfg.initial} supports the "
@@ -348,16 +355,17 @@ class Command(NamedTuple):
 
 
 COMMANDS = {
-    "curve": Command(run_curve, "concurrence vs gamma*t as CSV", "csv", METHODS),
-    "single": Command(run_single, "single-atom trajectory as CSV", "csv", ("oracle",),
-                      initial=_OPTIONS["initial"]._replace(
+    "curve": Command(run_curve, "concurrence vs gamma*t as CSV", ("--bell", "--t-max", "--steps"),
+                     METHODS),
+    "single": Command(run_single, "single-atom trajectory as CSV", ("--t-max", "--steps"),
+                      ("oracle",), initial=_OPTIONS["initial"]._replace(
                           default="excited", choices=tuple(_SINGLE_STARTS),
                           help="initial single-atom state (default {})",
                           unknown="unknown initial state {value!r}")),
-    "steady": Command(run_steady, "long-time report as JSON", "json", horizon=lambda cfg: None),
-    "compare": Command(run_compare, "published closed forms vs oracle, as JSON", "json",
-                       needs_p1=True),
-    "esd": Command(run_esd, "sudden-death search as JSON", "json", METHODS,
+    "steady": Command(run_steady, "long-time report as JSON", ("--bell",), horizon=lambda _: None),
+    "compare": Command(run_compare, "published closed forms vs oracle, as JSON",
+                       ("--t-max", "--steps"), needs_p1=True),
+    "esd": Command(run_esd, "sudden-death search as JSON", ("--bell",), METHODS,
                    initial=_OPTIONS["initial"]._replace(
                        choices=("product",),
                        help="replace the Bell start with a separable product state",
@@ -377,23 +385,15 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"error: {message}\n")
 
 
-def _add_flag(parser: argparse.ArgumentParser, option: Option) -> None:
-    parser.add_argument(option.flag, type=option.type, choices=option.choices or None,
-                        help=option.help.format(option.default))
-
-
 def _build_parser() -> argparse.ArgumentParser:
-    common = _Parser(add_help=False)
-    for option in OPTIONS:
-        if option.help is not None:
-            _add_flag(common, option)
     parser = _Parser(prog="vicsim",
                      description="Interference-protected entanglement of two V-atom qubits")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in COMMANDS.items():
-        subparser = sub.add_parser(name, parents=[common], help=command.help)
-        if command.initial is not None:
-            _add_flag(subparser, command.initial)
+        subparser = sub.add_parser(name, help=command.help)
+        for option in command.options():
+            subparser.add_argument(option.flag, type=option.type, choices=option.choices or None,
+                                   help=option.help.format(option.default))
     return parser
 
 

@@ -205,15 +205,15 @@ def _no_jump_propagator(params: VParams, t: float) -> np.ndarray:
     - of r + d and r - d the smaller is gamma_12^2 over the larger;
     - near the exceptional point, |r t| < _SERIES_BELOW, the power series in
       (r t)^2 replaces the projectors.
-    Rates and projectors are formed in units of s = max(m, |w|), so no
-    square over- or underflows.
+    Rates and projectors are formed in units of s = max(m, |w|), or of
+    gamma_1 where both round to 0, so no square over- or underflows.
     """
     t = float(t)  # a numpy t would make every product below warn where it overflows
     g1, g2, g12, p = params.gamma1, params.gamma2, params.gamma12, params.p
     mean_w = 0.5 * params.omega1 + 0.5 * params.omega2
     half_dw = 0.5 * params.omega1 - 0.5 * params.omega2
     m = 0.5 * (g1 + g2)
-    s = max(m, abs(half_dw))
+    s = max(m, abs(half_dw)) or g1  # m rounds to 0 at a subnormal gamma*(1 + eta^2)
     ms, ws, gs = m / s, half_dw / s, g12 / s
     d = complex(0.5 * (g1 - g2) / s, ws)
     r2 = d * d + gs * gs

@@ -22,7 +22,7 @@ from vicsim.bipartite import (
     qubit_block,
     steady_pair,
 )
-from vicsim.cli import COMPARE_CHUNK, main
+from vicsim.cli import COMMANDS, COMPARE_CHUNK, OPTIONS, main
 from vicsim.entanglement import EsdResult, concurrence_x
 from vicsim.vsystem import (
     VParams,
@@ -557,6 +557,53 @@ def test_config_file_rejects_unknown_key(tmp_path, capsys):
     assert "unknown key" in err
 
 
+# The flags each command takes: the shared ones and those it reads.
+SHARED = ("--gamma", "--eta", "--p", "--output", "--config")
+TAKES = {command: SHARED + flags for command, flags in {
+    "curve": ("--bell", "--t-max", "--steps", "--method"),
+    "single": ("--initial", "--t-max", "--steps", "--method"),
+    "steady": ("--bell",),
+    "compare": ("--t-max", "--steps"),
+    "esd": ("--bell", "--method", "--initial"),
+}.items()}
+
+
+def _steps(command):
+    """A short grid, for a command that reads one."""
+    return ("--steps", "5") if "--steps" in TAKES[command] else ()
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_an_empty_config_value_leaves_the_default(tmp_path, capsys, command):
+    # every key empty, and eta set and then emptied: a run as with no file
+    keys = [option.flag[2:].replace("-", "_") for option in OPTIONS if option.in_config]
+    config = tmp_path / "run.cfg"
+    config.write_text("".join(f"{key} =\n" for key in keys) + "eta = 0.5\neta = # unset\n")
+    want = run_cli(capsys, command, *_steps(command))
+    assert run_cli(capsys, command, *_steps(command), "--config", str(config)) == want
+    assert want[0] == 0 and want[2] == ""
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_each_command_takes_only_the_flags_it_reads(tmp_path, capsys, command):
+    config = tmp_path / "run.cfg"
+    config.write_text("eta = 0.5\n")
+    initial = COMMANDS[command].initial
+    valid = {"--gamma": "2", "--eta": "0.5", "--p": "1", "--bell": "phi", "--t-max": "3",
+             "--steps": "4", "--method": "oracle",
+             "--initial": initial.choices[-1] if initial else "product",
+             "--output": str(tmp_path / "out"), "--config": str(config), "--format": "csv"}
+    assert {option.flag for option in COMMANDS[command].options()} == set(TAKES[command])
+    # --format is gone: every command writes the one format it always wrote
+    for flag in [option.flag for option in OPTIONS] + ["--format"]:
+        code, out, err = run_cli(capsys, command, flag, valid[flag])
+        if flag in TAKES[command]:
+            assert (code, err) == (0, ""), flag
+        else:
+            assert (code, out, err) == (2, "", f"error: unrecognized arguments: {flag} "
+                                                f"{valid[flag]}\n"), flag
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -564,8 +611,8 @@ def test_config_file_rejects_unknown_key(tmp_path, capsys):
         ("curve", "--t-max", "0"),
         ("curve", "--p", "1.5"),
         ("curve", "--eta", "-1"),
-        ("curve", "--format", "json"),
-        ("steady", "--format", "csv"),
+        ("curve", "--format", "csv"),
+        ("steady", "--format", "json"),
         ("curve", "--method", "paper", "--p", "0.5"),
         ("curve", "--eta", "nan"),
         ("curve", "--eta", "inf"),
@@ -605,7 +652,7 @@ TIME_FORMS = [("curve",), ("curve", "--method", "paper"), ("single",), ("compare
 
 @pytest.mark.parametrize("form", TIME_FORMS, ids=" ".join)
 def test_a_gamma_too_small_for_the_horizon_is_named(capsys, form):
-    code, out, err = run_cli(capsys, *form, "--gamma", "1e-320", "--steps", "5")
+    code, out, err = run_cli(capsys, *form, "--gamma", "1e-320", *_steps(form[0]))
     assert code == 2 and out == ""
     horizon = "the esd scan horizon / gamma = 50.0" if form[0] == "esd" else "t-max / gamma = 10.0"
     assert err == f"error: gamma = 1e-320 is too small: {horizon} / 1e-320 overflows\n"
@@ -614,7 +661,7 @@ def test_a_gamma_too_small_for_the_horizon_is_named(capsys, form):
 @pytest.mark.parametrize("form", TIME_FORMS + [("steady",), ("esd",)], ids=" ".join)
 def test_a_tiny_gamma_whose_times_stay_finite_runs(capsys, form):
     gamma = "1e-320" if form in (("steady",), ("esd",)) else "1e-300"
-    code, out, err = run_cli(capsys, *form, "--gamma", gamma, "--steps", "5")
+    code, out, err = run_cli(capsys, *form, "--gamma", gamma, *_steps(form[0]))
     assert (code, err) == (0, "")
 
 
@@ -622,7 +669,7 @@ def test_a_tiny_gamma_whose_times_stay_finite_runs(capsys, form):
 @pytest.mark.parametrize("target", ["missing-directory", "directory"])
 def test_unwritable_output_is_a_diagnostic(tmp_path, capsys, command, target):
     path = str(tmp_path / "missing" / "out.txt") if target == "missing-directory" else str(tmp_path)
-    code, out, err = run_cli(capsys, command, "--steps", "5", "--output", path)
+    code, out, err = run_cli(capsys, command, *_steps(command), "--output", path)
     assert code == 2 and out == ""
     assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
 

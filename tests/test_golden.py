@@ -4,9 +4,10 @@
 code and the exact stdout and stderr that ``vicsim.cli.main`` produced
 when it was recorded. The configs cover every subcommand, both methods,
 Bell and product starts, deaths of the published forms around the psi
-survival edge eta = 1/sqrt(3), a few invalid configs, configs that break
-two rules at once (only the first is reported), and the help of vicsim
-and of each subcommand, wrapped at 80 columns. A change may move a
+survival edge eta = 1/sqrt(3), a few invalid configs, flags a command
+does not take, configs that break two rules at once (only the first is
+reported), and the help of vicsim and of each subcommand, wrapped at 80
+columns. A change may move a
 printed number by at most 1e-12 (relative above 1); every other
 character must stay as recorded.
 """
