@@ -30,7 +30,6 @@ from .vsystem import (
     ground_state,
     no_jump_propagators,
     propagate_channel,
-    published_rho11_infinity,
     published_single_atom,
     single_atom_states,
     steady_channel,

@@ -33,6 +33,7 @@ PAIR_DIM = 9
 # Pair-space indices of |1A1B>, |1A3B>, |3A1B>, |3A3B>, in that basis order.
 QUBIT_BLOCK = (0, 2, 6, 8)
 _QUBIT_INDEX = np.array(QUBIT_BLOCK)
+MIN_TRACE = 1e-14  # the smallest projected trace project_to_qubits divides by
 
 
 class ZeroTrace(ValueError):
@@ -40,10 +41,15 @@ class ZeroTrace(ValueError):
 
 
 class BellKind(str, Enum):
-    """The two maximally entangled initial states."""
+    """The two maximally entangled initial states; readers also take their strings."""
 
     PSI = "psi"  # (|1A 1B> + |3A 3B>)/sqrt(2)
     PHI = "phi"  # (|1A 3B> + |3A 1B>)/sqrt(2)
+
+
+def _is_psi(kind: BellKind | str) -> bool:
+    """Whether ``kind`` is psi; a string is read by the (slower) BellKind lookup."""
+    return (kind if type(kind) is BellKind else BellKind(kind)) is BellKind.PSI
 
 
 @dataclass(frozen=True)
@@ -54,12 +60,12 @@ class TwoQubitState:
     pre_norm_trace: float
 
 
-def bell_state(kind: BellKind) -> np.ndarray:
+def bell_state(kind: BellKind | str) -> np.ndarray:
     """Bell-state density matrix embedded in the 9-dimensional pair space.
 
     Its four nonzero entries are exactly 1/2, as the Bell reader
     (``bell_x_elements``) takes them, not the rounded (1/sqrt(2))^2."""
-    support = [0, 8] if kind is BellKind.PSI else [2, 6]
+    support = [0, 8] if _is_psi(kind) else [2, 6]
     rho = np.zeros((PAIR_DIM, PAIR_DIM), dtype=complex)
     rho[np.ix_(support, support)] = 0.5
     return rho
@@ -116,18 +122,18 @@ def qubit_block(rho_pair: np.ndarray) -> np.ndarray:
     return np.asarray(rho_pair, dtype=complex)[..., _QUBIT_INDEX, :][..., _QUBIT_INDEX]
 
 
-def project_to_qubits(rho_pair: np.ndarray, min_trace: float = 1e-14) -> TwoQubitState:
+def project_to_qubits(rho_pair: np.ndarray) -> TwoQubitState:
     """Compress to the qubit subspace and renormalize.
 
-    Raises ZeroTrace when the state lies entirely outside the projected
-    block. The real and imaginary parts are divided as floats, so each is
-    correctly rounded, as in the Bell reader; a complex division rounds
-    them differently.
+    Raises ZeroTrace when the projected trace is below MIN_TRACE (the
+    state lies outside the projected block). The real and imaginary parts
+    are divided as floats, so each is correctly rounded, as in the Bell
+    reader; a complex division rounds them differently.
     """
     block = qubit_block(rho_pair)
     trace = float(np.trace(block).real)
-    if trace < min_trace:
-        raise ZeroTrace(f"projected trace {trace:.3e} below {min_trace:.1e}")
+    if trace < MIN_TRACE:
+        raise ZeroTrace(f"projected trace {trace:.3e} below {MIN_TRACE:.1e}")
     rho = (np.ascontiguousarray(block).view(float) / trace).view(complex)
     return TwoQubitState(rho=rho, pre_norm_trace=trace)
 
@@ -157,7 +163,7 @@ class BellXElements(NamedTuple):
         return 2.0 * np.maximum(r14 - np.sqrt(r22 * r33), r23 - np.sqrt(r11 * r44))
 
 
-def bell_x_elements(u: np.ndarray, kind: BellKind) -> BellXElements:
+def bell_x_elements(u: np.ndarray, kind: BellKind | str) -> BellXElements:
     """The qubit block of a Bell pair of identical atoms at each U of a
     (T, 2, 2) stack of no-jump propagators, with no pair evolution.
 
@@ -180,13 +186,13 @@ def bell_x_elements(u: np.ndarray, kind: BellKind) -> BellXElements:
     loss = 1.0 - (s + (u[..., 1, 0] * u[..., 1, 0].conj()).real)  # 1 - P
     half_s = 0.5 * s
     zero = np.zeros_like(s)
-    if kind is BellKind.PSI:
+    if _is_psi(kind):
         side = half_s * loss
         return BellXElements(half_s * s, side, side, 0.5 * (1.0 + loss * loss), half_s, zero)
     return BellXElements(zero, half_s, half_s, loss, zero, half_s)
 
 
-def published_pair_elements(params: VParams, kind: BellKind,
+def published_pair_elements(params: VParams, kind: BellKind | str,
                             t: float | np.ndarray) -> dict[str, float | np.ndarray]:
     """Published closed-form matrix elements of the projected pair state at
     t, a time or an array of times (numpy scalars or arrays).
@@ -212,7 +218,7 @@ def published_pair_elements(params: VParams, kind: BellKind,
     # psi's rho14 and phi's rho23 are printed as the same form
     root = (eta2 + x) / e
     coherence = 0.5 * root * root
-    if kind is BellKind.PSI:
+    if _is_psi(kind):
         # the printed polynomials over 8 (1 + eta^2), term by term, so that no
         # partial sum exceeds rho11 itself; the x^2 coefficient
         # (1 + 4 eta^2 + eta^4)/(1 + eta^2) is e + 2 eta^2/e

@@ -4,7 +4,8 @@ Subcommands: curve (concurrence vs gamma*t as CSV), single (one-atom
 trajectory as CSV), steady (long-time report as JSON), compare
 (published closed forms vs master-equation oracle as JSON), esd
 (sudden-death search as JSON). Output is deterministic: fixed %.12e
-formatting for CSV, insertion-ordered keys for JSON. OPTIONS declares
+formatting for CSV, insertion-ordered keys for JSON; it goes to stdout
+for --output - and to the named file otherwise. OPTIONS declares
 each option and COMMANDS the flags and rules of each command, which
 takes no flag it does not read; RunConfig, the config-file reader, the
 parser and every check are read from the two.
@@ -27,8 +28,7 @@ from .bipartite import BellKind, bell_x_elements, product_state, published_pair_
 from .entanglement import CURVE_COLUMNS, ESD_HORIZON, concurrence_curve, esd_time
 from .vsystem import (
     VParams, apply_channel, excited_state, ground_state, no_jump_propagators, propagate_channel,
-    published_rho11_infinity, published_single_atom, single_atom_states, steady_no_jump,
-    steady_state, superposition_state,
+    published_single_atom, single_atom_states, steady_no_jump, steady_state, superposition_state,
 )
 
 CURVE_HEADER = ",".join(CURVE_COLUMNS)
@@ -138,7 +138,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
 
 def _write(cfg: RunConfig, text: str) -> None:
     try:
-        if cfg.output in ("-", ""):
+        if cfg.output == "-":
             sys.stdout.write(text)
         else:
             with open(cfg.output, "w", encoding="utf-8", newline="") as fh:
@@ -283,7 +283,7 @@ def run_compare(cfg: RunConfig) -> int:
     sections = {name: {key: next(values) for key in keys} for name, keys in _COMPARE_SECTIONS.items()}
 
     oracle_inf = float(steady_state(params, excited_state())[0, 0].real)
-    published_inf = published_rho11_infinity(params, excited_state())
+    published_inf = published_single_atom(params, excited_state(), math.inf).rho11
 
     printed_t0 = published_pair_elements(params, BellKind.PSI, 0.0)["rho11"]
     report = {
@@ -304,8 +304,8 @@ def run_compare(cfg: RunConfig) -> int:
 
 def run_esd(cfg: RunConfig) -> int:
     # the one --initial, product: separable |1A 1B>, already dead at t = 0
-    rho0 = product_state(0, 0) if cfg.initial else None
-    result = esd_time(_params(cfg), BellKind(cfg.bell), rho0=rho0, method=cfg.method)
+    start = product_state(0, 0) if cfg.initial else BellKind(cfg.bell)
+    result = esd_time(_params(cfg), start, method=cfg.method)
     report = {**_echo(cfg, "eta", "p", "bell"), "kind": result.kind}
     if result.kind == "vanishes_at":
         report["gamma_t_death"] = result.gamma_t_death

@@ -8,6 +8,9 @@ Both Bell initial states evolve inside the X family here, so this
 readout applies along every curve. The general spin-flip construction
 (Wootters), the authority it is checked against, is the second route
 and lives in vicsim.oracles.
+
+Readers take a Bell kind or its string; the sudden-death search
+``esd_time`` takes one start, a Bell kind or an explicit pair state.
 """
 
 from __future__ import annotations
@@ -49,12 +52,12 @@ def x_branch_values(rho: np.ndarray) -> tuple[float, float]:
     return float(inner), float(outer)
 
 
-def _check_x_form(rho: np.ndarray, tol: float = X_FORM_TOL) -> np.ndarray:
+def _check_x_form(rho: np.ndarray) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise NotXForm(f"expected a 4x4 matrix, got shape {rho.shape}")
     worst = float(np.max(np.abs(rho[~_X_MASK])))
-    if worst > tol:
+    if worst > X_FORM_TOL:
         raise NotXForm(f"non-X entry of magnitude {worst:.3e}")
     return rho
 
@@ -84,9 +87,6 @@ class ConcurrenceCurve:
     rho22: np.ndarray
     rho33: np.ndarray
     pre_norm_trace: np.ndarray
-    params: VParams
-    kind: BellKind
-    method: str = "oracle"
 
     def columns(self) -> tuple[np.ndarray, ...]:
         """The arrays in CURVE_COLUMNS order."""
@@ -114,6 +114,15 @@ def _signed_point(params: VParams, rho0: np.ndarray,
     inner, outer = x_branch_values(rho)
     return (2.0 * max(inner, outer), float(abs(rho[0, 3])), float(abs(rho[1, 2])),
             float(rho[1, 1].real), float(rho[2, 2].real), projected.pre_norm_trace)
+
+
+def _evolved_readout(params: VParams, rho0: np.ndarray,
+                     gamma_ts: np.ndarray) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """Signed concurrence of the pair evolved from ``rho0`` at each of
+    ``gamma_ts``, with the elements behind it, all arrays: the contract of
+    ``_paper_readout``, read one ``_signed_point`` per sample."""
+    samples = np.array([_signed_point(params, rho0, gamma_t) for gamma_t in gamma_ts.tolist()])
+    return samples[:, 0], dict(zip(CURVE_COLUMNS[2:], samples[:, 1:].T))
 
 
 def _paper_readout(params: VParams, kind: BellKind,
@@ -163,12 +172,8 @@ def _check_method(params: VParams, method: str) -> None:
         raise UnsupportedParams("published closed forms require p = 1")
 
 
-def concurrence_curve(
-    params: VParams,
-    kind: BellKind,
-    gamma_ts: np.ndarray,
-    method: str = "oracle",
-) -> ConcurrenceCurve:
+def concurrence_curve(params: VParams, kind: BellKind | str, gamma_ts: np.ndarray,
+                      method: str = "oracle") -> ConcurrenceCurve:
     """Concurrence of an evolving Bell state over a grid of gamma*t values.
 
     method 'oracle' evolves the pair and measures, one sample at a time.
@@ -176,20 +181,19 @@ def concurrence_curve(
     for p = 1 only) over the whole grid at once, normalized by the trace
     read from the 2x2 no-jump propagator (``_paper_readout``).
     """
+    kind = BellKind(kind)
     grid = _validate_grid(gamma_ts)
     _check_method(params, method)
     if method == "paper":
         signed, elements = _paper_readout(params, kind, grid)
     else:
-        rho0 = bell_state(kind)
-        samples = np.array([_signed_point(params, rho0, gamma_t) for gamma_t in grid.tolist()])
-        signed, elements = samples[:, 0], dict(zip(CURVE_COLUMNS[2:], samples[:, 1:].T))
+        signed, elements = _evolved_readout(params, bell_state(kind), grid)
     # clamps -0.0 and NaN to 0.0, as max(0.0, signed) does
     concurrence = np.where(signed > 0.0, signed, 0.0)
-    return ConcurrenceCurve(grid, concurrence, params=params, kind=kind, method=method, **elements)
+    return ConcurrenceCurve(grid, concurrence, **elements)
 
 
-def steady_concurrence(params: VParams, kind: BellKind) -> float:
+def steady_concurrence(params: VParams, kind: BellKind | str) -> float:
     """Concurrence of the long-time projected Bell pair, read from U(infinity)
     (``steady_no_jump``) by the Bell reader (``bell_x_elements``), with no
     pair state. Raises NoConvergence where a decay-free level keeps rotating."""
@@ -197,8 +201,11 @@ def steady_concurrence(params: VParams, kind: BellKind) -> float:
     return max(0.0, float(x.signed_concurrence[0]))
 
 
-# The gamma*t up to which esd_time scans for a death by default.
+# The sudden-death search: a limit above 10 * ESD_THRESHOLD is asymptotically
+# positive; else ESD_SAMPLES points of gamma_t in [0, ESD_HORIZON] are scanned.
+ESD_THRESHOLD = 1e-12
 ESD_HORIZON = 50.0
+ESD_SAMPLES = 1001
 
 
 @dataclass(frozen=True)
@@ -214,48 +221,41 @@ class EsdResult:
     concurrence_limit: float | None = None
 
 
-def esd_time(
-    params: VParams,
-    kind: BellKind,
-    *,
-    rho0: np.ndarray | None = None,
-    method: str = "oracle",
-    threshold: float = 1e-12,
-    horizon: float = ESD_HORIZON,
-    samples: int = 1001,
-) -> EsdResult:
-    """Locate entanglement sudden death, if any, on gamma_t in [0, horizon].
+def esd_time(params: VParams, start: BellKind | str | np.ndarray, *,
+             method: str = "oracle") -> EsdResult:
+    """Locate entanglement sudden death, if any, on gamma_t in [0, ESD_HORIZON].
 
-    A long-time concurrence above 10 * threshold classifies as
-    asymptotically positive. A Bell start under the oracle method takes
+    ``start`` is a Bell kind (a BellKind or its string) or an explicit 9x9
+    pair state. A long-time concurrence above 10 * ESD_THRESHOLD classifies
+    as asymptotically positive. A Bell start under the oracle method takes
     that limit from U(infinity) through the Bell reader
     (``steady_concurrence``), with no pair state, and is answered from it
     alone: it never dies in finite time (see the derivation below), so it
-    is otherwise asymptotically zero. An explicit ``rho0`` takes its
-    limit from the 9x9 steady pair channel.
+    is otherwise asymptotically zero. An explicit start takes its limit
+    from the 9x9 steady pair channel.
 
-    Otherwise the signed X-branch argument is scanned on ``samples``
-    (at least 2) points (see ``_scan_for_death``). A Bell start under
-    the published forms (method 'paper', p = 1 only) evolves nothing: its
-    limit is the curve's readout at the horizon, and its scan reads the
-    published elements alone. The scan of the evolved pair serves an
-    explicit ``rho0``, which the published forms do not cover, so it
-    takes method 'oracle' only.
+    Otherwise the signed X-branch argument is scanned (see
+    ``_scan_for_death``). A Bell start under the published forms (method
+    'paper', p = 1 only) evolves nothing: its limit is the curve's readout
+    at the horizon, and its scan reads the published elements alone. The
+    scan of the evolved pair (``_evolved_readout``) serves an explicit
+    start, which the published forms do not cover, so it takes method
+    'oracle' only.
     """
     _check_method(params, method)
-    if samples < 2:
-        raise ValueError(f"samples must be at least 2, got {samples}")
-    bell_start = rho0 is None
-    if method == "paper" and not bell_start:
+    bell_start = isinstance(start, str)  # a BellKind is a str
+    if bell_start:
+        kind = BellKind(start)
+    elif method == "paper":
         raise ValueError("published forms cover only the Bell starts: "
-                         "an explicit rho0 supports the oracle method only")
+                         "an explicit start supports the oracle method only")
     if method == "paper":
-        limit = max(0.0, float(_paper_readout(params, kind, np.array([horizon]))[0][0]))
+        limit = max(0.0, float(_paper_readout(params, kind, np.array([ESD_HORIZON]))[0][0]))
     elif bell_start:
         limit = steady_concurrence(params, kind)
     else:
-        limit = concurrence_x(project_to_qubits(steady_pair(params, params, rho0)).rho)
-    if limit > 10.0 * threshold:
+        limit = concurrence_x(project_to_qubits(steady_pair(params, params, start)).rho)
+    if limit > 10.0 * ESD_THRESHOLD:
         return EsdResult("asymptotic_positive", concurrence_limit=limit)
     if bell_start and method == "oracle":
         # By the elements bipartite.bell_x_elements reads from U, the live
@@ -272,41 +272,40 @@ def esd_time(
             pub = published_pair_elements(params, kind, gamma_t / params.gamma)
             return _published_branch(pub, kind, 1.0)[0]
     else:
-        signed_at = np.vectorize(lambda gamma_t: _signed_point(params, rho0, gamma_t)[0],
-                                 otypes=[float])
-    return _scan_for_death(signed_at, threshold, horizon, samples)
+        def signed_at(gamma_t):
+            return _evolved_readout(params, start, np.atleast_1d(gamma_t))[0]
+    return _scan_for_death(signed_at)
 
 
-def _scan_for_death(signed_at: Callable, threshold: float,
-                    horizon: float, samples: int) -> EsdResult:
-    """Scan ``signed_at(gamma_t)`` on ``samples`` points of [0, horizon].
+def _scan_for_death(signed_at: Callable) -> EsdResult:
+    """Scan ``signed_at(gamma_t)`` on ESD_SAMPLES points of [0, ESD_HORIZON].
 
     ``signed_at`` takes a gamma_t or an array of them, elementwise: the
     scan reads the whole grid in one call, the bisection one point a call.
 
     True finite-time death means the signed X-branch argument crosses
-    zero, the (clamped) concurrence stays below ``threshold`` through the
-    horizon, and some later sample is resolved below -threshold; a
+    zero, the (clamped) concurrence stays below ESD_THRESHOLD through the
+    horizon, and some later sample is resolved below -ESD_THRESHOLD; a
     crossing that bounces back above the threshold is treated as
     numerical zero-touching and the search continues after the revival.
     A curve that never resolves a death decays asymptotically to zero.
     The death time is bisected to 1e-10 between the last live sample and
     the first dead one.
     """
-    grid = np.linspace(0.0, horizon, samples)
+    grid = np.linspace(0.0, ESD_HORIZON, ESD_SAMPLES)
     signed = signed_at(grid)
     dead = signed <= 0.0
     if not dead.any():
         return EsdResult("asymptotic_zero")
     # Skip past any revival above threshold: death must persist to the horizon.
-    alive = np.nonzero(np.maximum(signed, 0.0) > threshold)[0]
+    alive = np.nonzero(np.maximum(signed, 0.0) > ESD_THRESHOLD)[0]
     start = 0 if alive.size == 0 else int(alive[-1]) + 1
     candidates = np.nonzero(dead[start:])[0]
     if candidates.size == 0:
         return EsdResult("asymptotic_zero")
     first = start + int(candidates[0])
     # As a revival must rise above threshold, a death must fall below it.
-    if not (signed[first:] < -threshold).any():
+    if not (signed[first:] < -ESD_THRESHOLD).any():
         return EsdResult("asymptotic_zero")
     if first == 0:
         return EsdResult("vanishes_at", gamma_t_death=0.0)

@@ -401,8 +401,3 @@ def published_single_atom(params: VParams, rho0: np.ndarray,
     rho13 = ((eta2 + x) * rho0[0, 2] - params.eta * (1.0 - x) * rho0[1, 2]) / (1.0 + eta2)
     return PublishedSingleAtom(rho11, rho33, rho13)
 
-
-def published_rho11_infinity(params: VParams, rho0: np.ndarray) -> float:
-    """Long-time limit of the published excited population, eta^2/(1+eta^2) * beta."""
-    _, be = alpha_beta(rho0)
-    return params.eta**2 / (1.0 + params.eta**2) * be

@@ -666,9 +666,11 @@ def test_a_tiny_gamma_whose_times_stay_finite_runs(capsys, form):
 
 
 @pytest.mark.parametrize("command", ["curve", "single", "steady", "compare", "esd"])
-@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+@pytest.mark.parametrize("target", ["missing-directory", "directory", "empty"])
 def test_unwritable_output_is_a_diagnostic(tmp_path, capsys, command, target):
-    path = str(tmp_path / "missing" / "out.txt") if target == "missing-directory" else str(tmp_path)
+    # only "-" is stdout; an empty path is no file (a config-file "output =" unsets the key)
+    path = {"missing-directory": str(tmp_path / "missing" / "out.txt"),
+            "directory": str(tmp_path), "empty": ""}[target]
     code, out, err = run_cli(capsys, command, *_steps(command), "--output", path)
     assert code == 2 and out == ""
     assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from vicsim.bipartite import (
     BellKind,
     bell_state,
+    bell_x_elements,
     evolve_pair,
     product_state,
     project_to_qubits,
@@ -20,6 +21,8 @@ from vicsim.bipartite import (
 from vicsim.cli import main
 from vicsim.entanglement import (
     CURVE_COLUMNS,
+    ESD_HORIZON,
+    ESD_THRESHOLD,
     EsdResult,
     NotXForm,
     _published_branch,
@@ -32,7 +35,7 @@ from vicsim.entanglement import (
     x_branch_values,
 )
 from vicsim.oracles import NotAState, concurrence_wootters
-from vicsim.vsystem import UnsupportedParams, VParams, propagate_channel
+from vicsim.vsystem import UnsupportedParams, VParams, no_jump_propagators, propagate_channel
 from util import random_density, random_unitary, random_x_state
 
 SQRT2 = math.sqrt(2.0)
@@ -245,7 +248,7 @@ def test_esd_asymptotic_decay_without_interference():
 
 
 def test_esd_product_state_dead_at_start():
-    result = esd_time(VParams(eta=1.0, p=1.0), BellKind.PSI, rho0=product_state(0, 0))
+    result = esd_time(VParams(eta=1.0, p=1.0), product_state(0, 0))
     assert result.kind == "vanishes_at"
     assert result.gamma_t_death == 0.0
 
@@ -257,7 +260,7 @@ def test_esd_finite_death_matches_closed_form():
     ket = np.zeros(9, dtype=complex)
     ket[0], ket[8] = c, s
     rho0 = np.outer(ket, ket.conj())
-    result = esd_time(VParams(eta=1.0, p=0.0), BellKind.PSI, rho0=rho0)
+    result = esd_time(VParams(eta=1.0, p=0.0), rho0)
     assert result.kind == "vanishes_at"
     assert result.gamma_t_death == pytest.approx(0.5 * math.log(2.0), abs=1e-8)
 
@@ -274,21 +277,14 @@ def test_esd_finite_death_matches_closed_form():
     ],
 )
 def test_esd_bell_answer_matches_the_scan(kind, eta, p):
-    # an explicit rho0 takes the sampled scan, the Bell start its exact limit
+    # an explicit start takes the sampled scan, the Bell start its exact limit
     params = VParams(eta=eta, p=p)
-    assert esd_time(params, kind, rho0=bell_state(kind)) == esd_time(params, kind)
+    assert esd_time(params, bell_state(kind)) == esd_time(params, kind)
 
 
 def test_esd_rejects_unknown_method():
     with pytest.raises(ValueError, match="unknown method"):
         esd_time(VParams(), BellKind.PSI, method="bogus")
-
-
-@pytest.mark.parametrize("samples", [0, 1])
-def test_esd_rejects_fewer_than_two_samples(samples):
-    # one sample cannot see psi's published death at gamma*t ~ 1.36
-    with pytest.raises(ValueError, match="samples"):
-        esd_time(VParams(p=1.0, eta=0.3), BellKind.PSI, method="paper", samples=samples)
 
 
 def test_esd_published_mode_requires_full_interference():
@@ -299,7 +295,7 @@ def test_esd_published_mode_requires_full_interference():
 def test_esd_published_mode_rejects_explicit_start():
     # the published forms cover only the Bell starts; the oracle takes the rest
     with pytest.raises(ValueError, match="oracle method only"):
-        esd_time(VParams(), BellKind.PSI, rho0=product_state(0, 0), method="paper")
+        esd_time(VParams(), product_state(0, 0), method="paper")
 
 
 def _evolved_paper_point(params, kind, gamma_t):
@@ -336,14 +332,14 @@ def test_paper_curve_matches_the_evolved_readout(eta, gamma, kind):
                 assert abs(getattr(curve, key)[i] - elements[key]) <= 1e-12, (gamma_t, key)
 
 
-def _evolved_paper_esd(params, kind, threshold=1e-12, horizon=50.0, samples=1001):
+def _evolved_paper_esd(params, kind):
     """esd under the published forms, every sample normalised by the evolved trace."""
     signed_at = np.vectorize(lambda gamma_t: _evolved_paper_point(params, kind, gamma_t)[0],
                              otypes=[float])
-    limit = max(0.0, float(signed_at(horizon)))
-    if limit > 10.0 * threshold:
+    limit = max(0.0, float(signed_at(ESD_HORIZON)))
+    if limit > 10.0 * ESD_THRESHOLD:
         return EsdResult("asymptotic_positive", concurrence_limit=limit)
-    return _scan_for_death(signed_at, threshold, horizon, samples)
+    return _scan_for_death(signed_at)
 
 
 _EDGE = 1.0 / math.sqrt(3.0)  # psi's published limit is proportional to eta^2 (3 eta^2 - 1)
@@ -447,3 +443,44 @@ def test_bell_branch_is_a_product_of_single_atom_factors(kind, eta, p, omega1, o
     exact = factor / pre_norm_trace
     assert exact >= 0.0
     assert abs(signed - exact) <= 1e-12
+
+
+# ------------------------------------------------------------------ Bell kinds
+
+_KIND_TIMES = np.linspace(0.0, 3.0, 7)
+# Each reader of a Bell kind, as a function of the kind alone.
+_READS_A_KIND = {
+    "bell_state": bell_state,
+    "bell_x_elements": lambda kind: bell_x_elements(
+        no_jump_propagators(VParams(eta=SQRT2), _KIND_TIMES), kind),
+    "published_pair_elements": lambda kind: published_pair_elements(VParams(eta=SQRT2), kind,
+                                                                    _KIND_TIMES),
+    "concurrence_curve": lambda kind: concurrence_curve(VParams(eta=SQRT2, p=0.5), kind,
+                                                       _KIND_TIMES).columns(),
+    "concurrence_curve-paper": lambda kind: concurrence_curve(VParams(eta=SQRT2), kind,
+                                                             _KIND_TIMES, "paper").columns(),
+    "steady_concurrence": lambda kind: steady_concurrence(VParams(eta=SQRT2), kind),
+    "esd_time": lambda kind: esd_time(VParams(eta=SQRT2), kind),
+    "esd_time-paper": lambda kind: esd_time(VParams(eta=0.3), kind, method="paper"),
+}
+
+
+def _bits(value):
+    """The exact bits of a result: arrays by their bytes, through tuples and dicts."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, tuple):
+        return tuple(_bits(item) for item in value)
+    if isinstance(value, dict):
+        return {key: _bits(item) for key, item in value.items()}
+    return repr(value)
+
+
+@pytest.mark.parametrize("kind", list(BellKind))
+@pytest.mark.parametrize("reader", list(_READS_A_KIND))
+def test_a_bell_kind_string_reads_as_its_kind(reader, kind):
+    # BellKind is a str enum: "psi" must not fall through to phi's branch
+    read = _READS_A_KIND[reader]
+    assert _bits(read(kind.value)) == _bits(read(kind))
+    with pytest.raises(ValueError):
+        read("bogus")

@@ -4,15 +4,18 @@
 exact parameters with enough working digits to resolve every entry
 above 1e-290, and the closed form must agree with it within a few ulps
 per unit of ||A||_F t. The draws are seeded, so every run checks the
-same 300.
+same 300. Its long-time limit U(infinity) is checked against the exact
+rational projector instead.
 """
 
 import math
 import random
+import sys
+from fractions import Fraction
 
 import mpmath
 
-from vicsim.vsystem import VParams, _no_jump_propagator
+from vicsim.vsystem import VParams, _no_jump_propagator, steady_no_jump
 
 EPS = 2.0**-52
 BOUND = 8.0  # in units of EPS (1 + ||A||_F t)
@@ -65,3 +68,41 @@ def test_no_jump_propagator_within_ulps_of_the_reference():
                     if error > BOUND:
                         over.append((params, t, (i, j), error))
     assert over == []
+
+
+# U(infinity) at p = 1 is the projector [[eta^2, -eta], [-eta, 1]] / (1 + eta^2)
+# onto the dark direction; each entry is checked against its exact value at the
+# float eta: within 2 ulps (relative error in units of EPS, as above) where that
+# value is a normal float, within the smallest subnormal where it is not.
+STEADY_ULPS = 2.0
+STEADY_ETAS = (0.0, 1e-300, 1e-8, 1.0 / math.sqrt(3.0), 1.0, math.sqrt(2.0), 3.0, 1e3, 1e154)
+STEADY_DRAWS = 3000
+
+
+def _exact_steady_no_jump(eta):
+    """The entries of U(infinity) at p = 1, exact at the float eta, by position."""
+    eta = Fraction(eta)
+    norm = 1 + eta * eta
+    return {(0, 0): eta * eta / norm, (0, 1): -eta / norm, (1, 0): -eta / norm, (1, 1): 1 / norm}
+
+
+def test_steady_no_jump_within_ulps_of_the_exact_projector():
+    rng = random.Random(20261020)
+    etas = STEADY_ETAS + tuple(10.0 ** rng.uniform(-150.0, 150.0) for _ in range(STEADY_DRAWS))
+    over = []
+    for eta in etas:
+        u = steady_no_jump(VParams(eta=eta, p=1.0))
+        for (i, j), want in _exact_steady_no_jump(eta).items():
+            bound = STEADY_ULPS * EPS * abs(want) if abs(want) >= sys.float_info.min else 5e-324
+            if u[i, j].imag != 0.0 or abs(Fraction(u[i, j].real) - want) > bound:
+                over.append((eta, (i, j), u[i, j]))
+    assert over == []
+
+
+def test_steady_no_jump_exact_cases():
+    # just below full interference nothing survives; without the umbrella
+    # transition (eta = 0) the umbrella level itself never decays
+    for eta in STEADY_ETAS[1:]:
+        assert steady_no_jump(VParams(eta=eta, p=1.0 - 2.0**-53)).tolist() == [[0, 0], [0, 0]]
+    for p in (0.0, 0.5, 1.0):
+        assert steady_no_jump(VParams(eta=0.0, p=p)).tolist() == [[0, 0], [0, 1]]

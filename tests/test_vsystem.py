@@ -25,7 +25,6 @@ from vicsim.vsystem import (
     excited_state,
     ground_state,
     propagate_channel,
-    published_rho11_infinity,
     published_single_atom,
     pure_state,
     steady_state,
@@ -387,7 +386,7 @@ def test_published_trapped_population_at_unit_eta():
     params = VParams(eta=1.0, p=1.0)
     pub = published_single_atom(params, excited_state(), 1e6)
     assert abs(pub.rho11 - 0.25) <= 1e-12
-    assert abs(published_rho11_infinity(params, excited_state()) - 0.25) <= 1e-15
+    assert abs(published_single_atom(params, excited_state(), math.inf).rho11 - 0.25) <= 1e-15
 
 
 def test_published_reproduces_initial_value_at_unit_eta():
@@ -441,7 +440,7 @@ def test_published_long_time_deviation_reported_not_hidden():
     # away from eta = 1 the printed limit differs from the generator's:
     # published 1/3 vs oracle 4/9 at eta = sqrt(2)
     params = VParams(eta=math.sqrt(2.0), p=1.0)
-    published = published_rho11_infinity(params, excited_state())
+    published = published_single_atom(params, excited_state(), math.inf).rho11
     oracle = steady_state(params, excited_state())[0, 0].real
     assert abs(published - 1.0 / 3.0) <= 1e-12
     assert abs(oracle - 4.0 / 9.0) <= 1e-12
