@@ -289,6 +289,10 @@ def _scan_for_death(signed_at: Callable) -> EsdResult:
     crossing that bounces back above the threshold is treated as
     numerical zero-touching and the search continues after the revival.
     A curve that never resolves a death decays asymptotically to zero.
+    A start that is dead at gamma_t = 0 with no later sample above the
+    threshold, as every separable start is (local channels keep it
+    separable), vanishes at 0 whether or not its branch resolves below
+    -ESD_THRESHOLD: it may be exactly 0 or underflow inside the threshold.
     The death time is bisected to 1e-10 between the last live sample and
     the first dead one.
     """
@@ -304,11 +308,11 @@ def _scan_for_death(signed_at: Callable) -> EsdResult:
     if candidates.size == 0:
         return EsdResult("asymptotic_zero")
     first = start + int(candidates[0])
+    if first == 0:
+        return EsdResult("vanishes_at", gamma_t_death=0.0)
     # As a revival must rise above threshold, a death must fall below it.
     if not (signed[first:] < -ESD_THRESHOLD).any():
         return EsdResult("asymptotic_zero")
-    if first == 0:
-        return EsdResult("vanishes_at", gamma_t_death=0.0)
     lo, hi = grid[first - 1], grid[first]
     for _ in range(60):
         mid = 0.5 * (lo + hi)

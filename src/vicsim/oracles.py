@@ -8,9 +8,10 @@ do. It holds the routes the closed form is checked against:
 - the 81x81 joint generator L_A ox 1 + 1 ox L_B of the pair
   (``evolve_pair_joint``), the check on the factorized pair map;
 - the general Wootters concurrence (``concurrence_wootters``), the check
-  on the X-state readout;
-- the dense kernel these need. Vectorization is row-major, as in the
-  runtime:
+  on the X-state readout.
+
+Each calls numpy and scipy directly. Vectorization is row-major, as in
+the runtime:
 
     vec(rho)[d*i + j] = rho[i, j],  so  vec(A @ X @ B) = kron(A, B.T) @ vec(X).
 """
@@ -18,97 +19,12 @@ do. It holds the routes the closed form is checked against:
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
 
 from .bipartite import PAIR_DIM
 from .vsystem import EXCITED, GROUND, UMBRELLA, VParams, hermitize
-
-MAX_DIM = 81
-HERMITIAN_TOL = 1e-10
-PSD_EIGENVALUE_FLOOR = -1e-8
-
-
-# ---------------------------------------------------------------- dense kernel
-
-class NotHermitian(ValueError):
-    """Matrix failed a Hermiticity precondition."""
-
-
-class NotPSD(ValueError):
-    """Matrix has an eigenvalue below the positive-semidefinite floor."""
-
-
-def dagger(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return m.conj().T
-
-
-def vec(m: np.ndarray) -> np.ndarray:
-    """Row-major vectorization of a square matrix."""
-    return np.asarray(m, dtype=complex).reshape(-1)
-
-
-def unvec(v: np.ndarray, dim: int | None = None) -> np.ndarray:
-    """Inverse of :func:`vec`; the dimension is inferred when omitted."""
-    v = np.asarray(v, dtype=complex)
-    if dim is None:
-        dim = math.isqrt(v.size)
-    return v.reshape(dim, dim)
-
-
-def hermiticity_defect(m: np.ndarray) -> float:
-    """Largest elementwise deviation of m from its conjugate transpose."""
-    return float(np.max(np.abs(m - dagger(m))))
-
-
-def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with (a ox b)[i*rb + k, j*cb + l] = a[i, j] * b[k, l]."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.size == 0 or b.size == 0:
-        raise ValueError("tensor_product requires non-empty factors")
-    return np.kron(a, b)
-
-
-class Spectrum(NamedTuple):
-    """Full spectrum of a Hermitian matrix, eigenvalues ascending."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray  # orthonormal columns, eigenvectors[:, k] <-> eigenvalues[k]
-
-
-def hermitian_eig(m: np.ndarray, tol: float = HERMITIAN_TOL) -> Spectrum:
-    """Eigendecomposition of a Hermitian matrix.
-
-    Raises NotHermitian when the input deviates from its adjoint by more
-    than ``tol`` in any entry. Ordering is ascending and deterministic
-    for identical inputs.
-    """
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise NotHermitian(f"expected a square matrix, got shape {m.shape}")
-    defect = hermiticity_defect(m)
-    if defect > tol:
-        raise NotHermitian(f"Hermiticity defect {defect:.3e} exceeds {tol:.1e}")
-    w, v = np.linalg.eigh(hermitize(m))
-    return Spectrum(w, v)
-
-
-def psd_sqrt(m: np.ndarray, floor: float = PSD_EIGENVALUE_FLOOR) -> np.ndarray:
-    """Hermitian square root of a positive-semidefinite matrix.
-
-    Eigenvalues in [floor, 0) are treated as roundoff and clipped to
-    zero; anything below ``floor`` raises NotPSD.
-    """
-    w, v = hermitian_eig(m)
-    if w.size and float(w.min()) < floor:
-        raise NotPSD(f"eigenvalue {w.min():.3e} below floor {floor:.1e}")
-    w = np.clip(w, 0.0, None)
-    root = (v * np.sqrt(w)) @ dagger(v)
-    return hermitize(root)
 
 
 def expm(m: np.ndarray) -> np.ndarray:
@@ -123,11 +39,7 @@ def expm(m: np.ndarray) -> np.ndarray:
     omega2 = 5e-324.
     """
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
     n = m.shape[0]
-    if n > MAX_DIM:
-        raise ValueError(f"dimension {n} exceeds supported maximum {MAX_DIM}")
     if n < 2 or (np.any(np.triu(m, 1)) and np.any(np.tril(m, -1))):
         return scipy.linalg.expm(m)
     h = np.eye(n) - 2.0 / n
@@ -145,13 +57,6 @@ class StepTooLarge(ValueError):
     """Requested integration step violates the RK4 stability guard."""
 
 
-def matrix_unit(i: int, j: int, dim: int = 3) -> np.ndarray:
-    """Operator |i><j| as a dense matrix."""
-    m = np.zeros((dim, dim), dtype=complex)
-    m[i, j] = 1.0
-    return m
-
-
 def hamiltonian(params: VParams) -> np.ndarray:
     """Free Hamiltonian omega1|1><1| + omega2|2><2| (ground level at zero)."""
     return np.diag([params.omega1, params.omega2, 0.0]).astype(complex)
@@ -163,8 +68,10 @@ def decay_terms(params: VParams) -> list[tuple[float, np.ndarray, np.ndarray]]:
     Diagonal terms carry the two spontaneous channels, the two cross
     terms the interference damping gamma_12.
     """
-    a31 = matrix_unit(GROUND, EXCITED)
-    a32 = matrix_unit(GROUND, UMBRELLA)
+    a31 = np.zeros((3, 3), dtype=complex)
+    a31[GROUND, EXCITED] = 1.0
+    a32 = np.zeros((3, 3), dtype=complex)
+    a32[GROUND, UMBRELLA] = 1.0
     return [
         (params.gamma1, a31, a31),
         (params.gamma2, a32, a32),
@@ -179,14 +86,10 @@ def lindblad_superoperator(
     """Liouvillian matrix L with vec(rho') = L @ vec(rho), row-major vec."""
     dim = ham.shape[0]
     eye = np.eye(dim, dtype=complex)
-    liou = -1j * (tensor_product(ham, eye) - tensor_product(eye, ham.T))
+    liou = -1j * (np.kron(ham, eye) - np.kron(eye, ham.T))
     for rate, jump, partner in terms:
-        kj = dagger(partner) @ jump
-        liou += rate * (
-            2.0 * tensor_product(jump, partner.conj())
-            - tensor_product(kj, eye)
-            - tensor_product(eye, kj.T)
-        )
+        kj = partner.conj().T @ jump
+        liou += rate * (2.0 * np.kron(jump, partner.conj()) - np.kron(kj, eye) - np.kron(eye, kj.T))
     return liou
 
 
@@ -228,13 +131,9 @@ def rk4_evolve(liou: np.ndarray, rho0: np.ndarray, t: float, dt: float) -> np.nd
     return hermitize(x.reshape(dim, dim))
 
 
-def propagate_rk4(
-    params: VParams, rho0: np.ndarray, t: float, dt: float | None = None
-) -> np.ndarray:
-    """Evolve a 3x3 state for time t by fixed-step RK4."""
-    if dt is None:
-        dt = default_step(params)
-    return rk4_evolve(build_liouvillian(params), rho0, t, dt)
+def propagate_rk4(params: VParams, rho0: np.ndarray, t: float) -> np.ndarray:
+    """Evolve a 3x3 state for time t by fixed-step RK4 at the default step."""
+    return rk4_evolve(build_liouvillian(params), rho0, t, default_step(params))
 
 
 def propagate_spectral(params: VParams, rho0: np.ndarray, t: float) -> np.ndarray:
@@ -242,7 +141,8 @@ def propagate_spectral(params: VParams, rho0: np.ndarray, t: float) -> np.ndarra
     if t < 0:
         raise ValueError(f"t must be non-negative, got {t}")
     prop = expm(build_liouvillian(params) * t)
-    return hermitize(unvec(prop @ vec(rho0), 3))
+    rho0 = np.asarray(rho0, dtype=complex)
+    return hermitize((prop @ rho0.reshape(-1)).reshape(3, 3))
 
 
 # ---------------------------------------------------------------- the pair
@@ -250,13 +150,13 @@ def propagate_spectral(params: VParams, rho0: np.ndarray, t: float) -> np.ndarra
 def joint_liouvillian(params_a: VParams, params_b: VParams) -> np.ndarray:
     """81x81 generator L_A ox 1 + 1 ox L_B on the vectorized pair matrix."""
     eye = np.eye(3, dtype=complex)
-    ham = tensor_product(hamiltonian(params_a), eye) + tensor_product(eye, hamiltonian(params_b))
+    ham = np.kron(hamiltonian(params_a), eye) + np.kron(eye, hamiltonian(params_b))
     terms = [
-        (rate, tensor_product(jump, eye), tensor_product(partner, eye))
+        (rate, np.kron(jump, eye), np.kron(partner, eye))
         for rate, jump, partner in decay_terms(params_a)
     ]
     terms += [
-        (rate, tensor_product(eye, jump), tensor_product(eye, partner))
+        (rate, np.kron(eye, jump), np.kron(eye, partner))
         for rate, jump, partner in decay_terms(params_b)
     ]
     return lindblad_superoperator(ham, terms)
@@ -272,7 +172,8 @@ def evolve_pair_joint(params_a: VParams, params_b: VParams,
     if t < 0:
         raise ValueError(f"t must be non-negative, got {t}")
     prop = expm(joint_liouvillian(params_a, params_b) * t)
-    return hermitize(unvec(prop @ vec(rho0), PAIR_DIM))
+    rho0 = np.asarray(rho0, dtype=complex)
+    return hermitize((prop @ rho0.reshape(-1)).reshape(PAIR_DIM, PAIR_DIM))
 
 
 # ---------------------------------------------------------------- concurrence
@@ -293,7 +194,7 @@ def _check_state(rho: np.ndarray) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise NotAState(f"expected a 4x4 matrix, got shape {rho.shape}")
-    defect = hermiticity_defect(rho)
+    defect = float(np.max(np.abs(rho - rho.conj().T)))
     if defect > STATE_HERMITIAN_TOL:
         raise NotAState(f"Hermiticity defect {defect:.3e}")
     trace = np.trace(rho).real
@@ -317,6 +218,8 @@ def concurrence_wootters(rho: np.ndarray) -> float:
     state.
     """
     rho = _check_state(rho)
-    root = psd_sqrt(rho)
+    # _check_state bounds the eigenvalues below by -1e-10: clip that round-off.
+    w, v = np.linalg.eigh(hermitize(rho))
+    root = hermitize((v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T)
     lam = np.linalg.svd(root @ SPIN_FLIP @ root.conj(), compute_uv=False)
     return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))

@@ -72,7 +72,8 @@ def _config_line(draw):
 
 def _assert_exits_cleanly(argv):
     """Run ``argv``: exit 0 with finite output on stdout and nothing on
-    stderr, or exit 2 with one ``error:`` line; raise no warning."""
+    stderr, or exit 2 with one ``error:`` line; raise no warning. Returns
+    the exit code and stdout."""
     out, err = io.StringIO(), io.StringIO()
     with (contextlib.redirect_stdout(out), contextlib.redirect_stderr(err),
           warnings.catch_warnings(record=True) as caught):
@@ -90,6 +91,7 @@ def _assert_exits_cleanly(argv):
             assert all(math.isfinite(float(value)) for value in values), argv
     else:
         assert message.startswith("error:") and message.count("\n") == 1, (argv, message)
+    return code, out.getvalue()
 
 
 # ``{tmp}`` in a token stands for the run's temporary directory
@@ -159,9 +161,10 @@ FORMS = {
     ("esd", "--method", "paper"): ("--bell",),
     ("esd", "--initial", "product"): (),
 }
+PRODUCT = ("esd", "--initial", "product")
 # A product-start esd scans 1001 evolved samples (about 50 ms a run), so it
 # runs every third point of its lattice, which still meets each value.
-STRIDES = {("esd", "--initial", "product"): 3}
+STRIDES = {PRODUCT: 3}
 
 
 @pytest.mark.parametrize("form", list(FORMS), ids=" ".join)
@@ -169,5 +172,13 @@ def test_cli_exits_cleanly_on_a_lattice_of_float_extremes(form):
     reads = ("--gamma", "--eta", "--p") + FORMS[form]
     steps = ["--steps", "3"] if "--t-max" in reads else []
     lattice = itertools.product(*(LATTICE[flag] for flag in reads))
+    answered_etas = set()
     for values in itertools.islice(lattice, 0, None, STRIDES.get(form, 1)):
-        _assert_exits_cleanly([*form, *itertools.chain(*zip(reads, values)), *steps])
+        code, out = _assert_exits_cleanly([*form, *itertools.chain(*zip(reads, values)), *steps])
+        if form == PRODUCT and code == 0:
+            # a separable start is dead from the start, at every eta
+            report = json.loads(out)
+            assert (report["kind"], report.get("gamma_t_death")) == ("vanishes_at", 0.0), values
+            answered_etas.add(values[1])
+    if form == PRODUCT:
+        assert "1e154" in answered_etas

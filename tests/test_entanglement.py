@@ -69,6 +69,10 @@ def test_wootters_rejects_non_state():
     with pytest.raises(NotAState):
         bad = np.diag([0.7, 0.5, 0.0, -0.2]).astype(complex)
         concurrence_wootters(bad)
+    with pytest.raises(NotAState, match="Hermiticity"):
+        lopsided = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
+        lopsided[0, 1] = 0.1  # trace 1, but not Hermitian
+        concurrence_wootters(lopsided)
 
 
 def test_wootters_bounded_and_unitary_invariant():
@@ -251,6 +255,15 @@ def test_esd_product_state_dead_at_start():
     result = esd_time(VParams(eta=1.0, p=1.0), product_state(0, 0))
     assert result.kind == "vanishes_at"
     assert result.gamma_t_death == 0.0
+
+
+@pytest.mark.parametrize("eta", [0.0, 1.0, 1e7, 1e154])
+@pytest.mark.parametrize("ket_a, ket_b", [(0, 0), (0, 2), (2, 0), (2, 2)])
+def test_esd_every_product_start_vanishes_at_zero(ket_a, ket_b, eta):
+    # a separable start stays separable under local channels, whether its
+    # branch resolves below -ESD_THRESHOLD, is exactly 0 or underflows
+    result = esd_time(VParams(eta=eta), product_state(ket_a, ket_b))
+    assert result == EsdResult("vanishes_at", gamma_t_death=0.0)
 
 
 def test_esd_finite_death_matches_closed_form():

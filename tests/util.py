@@ -10,11 +10,6 @@ def random_density(rng, dim):
     return rho / np.trace(rho).real
 
 
-def random_hermitian(rng, dim, scale=1.0):
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return scale * (g + g.conj().T) / 2.0
-
-
 def random_x_state(rng):
     """Random physical 4x4 X-shaped density matrix.
 
