@@ -32,7 +32,6 @@ from .vsystem import (
     propagate_channel,
     published_single_atom,
     single_atom_states,
-    steady_channel,
     steady_no_jump,
     steady_state,
     superposition_state,
@@ -50,7 +49,6 @@ from .bipartite import (
     project_to_qubits,
     published_pair_elements,
     qubit_block,
-    steady_pair,
 )
 from .entanglement import (
     CURVE_COLUMNS,

@@ -4,9 +4,9 @@ and projection onto the two-qubit subspace.
 The pair lives in the 9-dimensional space (|1>,|2>,|3>)_A ox (|1>,|2>,|3>)_B
 with index 3*i + j for |i_A j_B> (zero-based levels). Because the atoms
 couple only to their own reservoirs, the joint propagator factorizes
-into the tensor product of the single-atom channels (``apply_pair_channel``);
-vicsim.oracles checks it against direct integration under the joint
-Liouvillian L_A ox 1 + 1 ox L_B.
+into the tensor product of the single-atom channels (``apply_pair_channel``)
+at any t, t = infinity included (``evolve_pair``); vicsim.oracles checks
+it against direct integration under the joint Liouvillian L_A ox 1 + 1 ox L_B.
 
 The two-qubit readout compresses onto the block spanned by levels
 {|1>, |3>} of each atom, in the fixed basis order
@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .vsystem import VParams, hermitize, propagate_channel, steady_channel
+from .vsystem import VParams, hermitize, propagate_channel
 
 PAIR_DIM = 9
 # Pair-space indices of |1A1B>, |1A3B>, |3A1B>, |3A3B>, in that basis order.
@@ -103,17 +103,10 @@ def _regroup(m: np.ndarray) -> np.ndarray:
 
 def evolve_pair(params_a: VParams, params_b: VParams,
                 rho0: np.ndarray, t: float) -> np.ndarray:
-    """Factorized evolution of the pair for time t."""
+    """Factorized evolution of the pair for time t, or its limit at t = math.inf."""
     channel_a = propagate_channel(params_a, t)
     channel_b = channel_a if params_b == params_a else propagate_channel(params_b, t)
     return apply_pair_channel(channel_a, channel_b, rho0)
-
-
-def steady_pair(params_a: VParams, params_b: VParams, rho0: np.ndarray) -> np.ndarray:
-    """Long-time limit of the factorized pair evolution."""
-    chan_a = steady_channel(params_a)
-    chan_b = chan_a if params_b == params_a else steady_channel(params_b)
-    return apply_pair_channel(chan_a, chan_b, rho0)
 
 
 def qubit_block(rho_pair: np.ndarray) -> np.ndarray:

@@ -5,7 +5,9 @@ trajectory as CSV), steady (long-time report as JSON), compare
 (published closed forms vs master-equation oracle as JSON), esd
 (sudden-death search as JSON). Output is deterministic: fixed %.12e
 formatting for CSV, insertion-ordered keys for JSON; it goes to stdout
-for --output - and to the named file otherwise. OPTIONS declares
+for --output - and to the named file otherwise. --gamma sets the unit
+of time: every output is in gamma*t or dimensionless, so each run
+computes at gamma = 1 (VParams.in_units_of_gamma). OPTIONS declares
 each option and COMMANDS the flags and rules of each command, which
 takes no flag it does not read; RunConfig, the config-file reader, the
 parser and every check are read from the two.
@@ -25,7 +27,7 @@ from typing import Any, NamedTuple
 import numpy as np
 
 from .bipartite import BellKind, bell_x_elements, product_state, published_pair_elements
-from .entanglement import CURVE_COLUMNS, ESD_HORIZON, concurrence_curve, esd_time
+from .entanglement import CURVE_COLUMNS, concurrence_curve, esd_time
 from .vsystem import (
     VParams, apply_channel, excited_state, ground_state, no_jump_propagators, propagate_channel,
     published_single_atom, single_atom_states, steady_no_jump, steady_state, superposition_state,
@@ -156,7 +158,7 @@ def _write_csv(cfg: RunConfig, header: str, columns: tuple[np.ndarray, ...]) -> 
 
 
 def _params(cfg: RunConfig) -> VParams:
-    return VParams(gamma=cfg.gamma, eta=cfg.eta, p=cfg.p)
+    return VParams(gamma=cfg.gamma, eta=cfg.eta, p=cfg.p).in_units_of_gamma()
 
 
 def _grid(cfg: RunConfig) -> np.ndarray:
@@ -194,7 +196,7 @@ def run_single(cfg: RunConfig) -> int:
     params = _params(cfg)
     rho0 = _SINGLE_STARTS[cfg.initial]()
     grid = _grid(cfg)
-    rho = np.array([apply_channel(propagate_channel(params, gamma_t / params.gamma), rho0)
+    rho = np.array([apply_channel(propagate_channel(params, gamma_t), rho0)
                     for gamma_t in grid.tolist()])
     _write_csv(cfg, SINGLE_HEADER, (grid, rho[:, 0, 0].real, rho[:, 1, 1].real,
                                     rho[:, 2, 2].real, rho[:, 0, 2].real, rho[:, 0, 2].imag))
@@ -276,7 +278,7 @@ def run_compare(cfg: RunConfig) -> int:
     The grid is read COMPARE_CHUNK times at a time.
     """
     params = _params(cfg)
-    times = _grid(cfg) / params.gamma  # finite: the horizon rule bounds t-max / gamma
+    times = _grid(cfg)
     worst = np.max([_compare_deviations(params, times[i:i + COMPARE_CHUNK])
                     for i in range(0, times.size, COMPARE_CHUNK)], axis=0)
     values = iter(worst.tolist())
@@ -306,7 +308,7 @@ def run_esd(cfg: RunConfig) -> int:
     # the one --initial, product: separable |1A 1B>, already dead at t = 0
     start = product_state(0, 0) if cfg.initial else BellKind(cfg.bell)
     result = esd_time(_params(cfg), start, method=cfg.method)
-    report = {**_echo(cfg, "eta", "p", "bell"), "kind": result.kind}
+    report = {**_echo(cfg, "eta", "p", "initial" if cfg.initial else "bell"), "kind": result.kind}
     if result.kind == "vanishes_at":
         report["gamma_t_death"] = result.gamma_t_death
     elif result.kind == "asymptotic_positive":
@@ -327,8 +329,6 @@ class Command(NamedTuple):
     # own default start, help and start names; and the methods other starts support
     initial: Option | None = None
     initial_methods: tuple[str, ...] = METHODS
-    # the largest gamma*t it divides by gamma, named (None: it divides none)
-    horizon: Callable[[RunConfig], tuple[str, float] | None] = lambda cfg: ("t-max", cfg.t_max)
 
     def options(self) -> list[Option]:
         """The flags it takes, SHARED and those it reads, then its --initial."""
@@ -348,10 +348,6 @@ class Command(NamedTuple):
             if cfg.initial != initial.default and cfg.method not in self.initial_methods:
                 raise ConfigError(f"{name} --initial {cfg.initial} supports the "
                                   f"{' or '.join(self.initial_methods)} method only")
-        horizon = self.horizon(cfg)
-        if horizon is not None and horizon[1] / cfg.gamma == math.inf:
-            raise ConfigError(f"gamma = {cfg.gamma!r} is too small: {horizon[0]} / gamma = "
-                              f"{horizon[1]!r} / {cfg.gamma!r} overflows")
 
 
 COMMANDS = {
@@ -362,7 +358,7 @@ COMMANDS = {
                           default="excited", choices=tuple(_SINGLE_STARTS),
                           help="initial single-atom state (default {})",
                           unknown="unknown initial state {value!r}")),
-    "steady": Command(run_steady, "long-time report as JSON", ("--bell",), horizon=lambda _: None),
+    "steady": Command(run_steady, "long-time report as JSON", ("--bell",)),
     "compare": Command(run_compare, "published closed forms vs oracle, as JSON",
                        ("--t-max", "--steps"), needs_p1=True),
     "esd": Command(run_esd, "sudden-death search as JSON", ("--bell",), METHODS,
@@ -370,10 +366,7 @@ COMMANDS = {
                        choices=("product",),
                        help="replace the Bell start with a separable product state",
                        unknown="esd accepts only initial={choices}, got {value!r}"),
-                   initial_methods=("oracle",),
-                   # the oracle Bell start is answered from U(infinity), at no time
-                   horizon=lambda cfg: ("the esd scan horizon", ESD_HORIZON)
-                   if cfg.method == "paper" or cfg.initial else None),
+                   initial_methods=("oracle",)),
 }
 
 # The run function of each command, called once its rules hold.

@@ -28,7 +28,6 @@ from .bipartite import (
     evolve_pair,
     project_to_qubits,
     published_pair_elements,
-    steady_pair,
 )
 from .vsystem import UnsupportedParams, VParams, no_jump_propagators, steady_no_jump
 
@@ -107,9 +106,10 @@ def _validate_grid(gamma_ts: np.ndarray) -> np.ndarray:
 def _signed_point(params: VParams, rho0: np.ndarray,
                   gamma_t: float) -> tuple[float, float, float, float, float, float]:
     """Signed concurrence 2 max(X branches) of the evolved, projected state
-    (checked to be X-shaped) at gamma_t, then |rho14|, |rho23|, rho22 and
-    rho33 of that state and its pre-normalization trace, all floats."""
-    projected = project_to_qubits(evolve_pair(params, params, rho0, gamma_t / params.gamma))
+    (checked to be X-shaped) at gamma_t (params in units of gamma; math.inf
+    reads the limit), then |rho14|, |rho23|, rho22 and rho33 of that state
+    and its pre-normalization trace, all floats."""
+    projected = project_to_qubits(evolve_pair(params, params, rho0, gamma_t))
     rho = _check_x_form(projected.rho)
     inner, outer = x_branch_values(rho)
     return (2.0 * max(inner, outer), float(abs(rho[0, 3])), float(abs(rho[1, 2])),
@@ -128,7 +128,7 @@ def _evolved_readout(params: VParams, rho0: np.ndarray,
 def _paper_readout(params: VParams, kind: BellKind,
                    gamma_ts: np.ndarray) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """Signed concurrence of the published elements at each of ``gamma_ts``,
-    with the elements behind it, all arrays.
+    with the elements behind it, all arrays (params in units of gamma).
 
     The published forms are normalized by the projected trace, and phi's
     rho22 and rho33 (never printed) are read, by ``bell_x_elements`` from
@@ -136,11 +136,10 @@ def _paper_readout(params: VParams, kind: BellKind,
     is near zero: psi's is at least its rho44 >= 1/2, and phi's,
     1 - |U21|^2, is at least 3/4 at p = 1, where |U21| <= eta / (1 + eta^2).
     """
-    with np.errstate(over="ignore"):  # an overflowing time is inf, which the reader rejects
-        times = gamma_ts / params.gamma
-    pair = bell_x_elements(no_jump_propagators(params, times), kind)
+    pair = bell_x_elements(no_jump_propagators(params, gamma_ts), kind)
     trace = pair.trace
-    signed, elements = _published_branch(published_pair_elements(params, kind, times), kind, trace)
+    pub = published_pair_elements(params, kind, gamma_ts)
+    signed, elements = _published_branch(pub, kind, trace)
     if kind is BellKind.PHI:
         elements.update(rho22=pair.rho22 / trace, rho33=pair.rho33 / trace)
     elements["pre_norm_trace"] = trace
@@ -179,11 +178,13 @@ def concurrence_curve(params: VParams, kind: BellKind | str, gamma_ts: np.ndarra
     method 'oracle' evolves the pair and measures, one sample at a time.
     method 'paper' evaluates the published closed-form elements (valid
     for p = 1 only) over the whole grid at once, normalized by the trace
-    read from the 2x2 no-jump propagator (``_paper_readout``).
+    read from the 2x2 no-jump propagator (``_paper_readout``). Both compute
+    with ``params.in_units_of_gamma()``, at gamma*t itself.
     """
     kind = BellKind(kind)
     grid = _validate_grid(gamma_ts)
     _check_method(params, method)
+    params = params.in_units_of_gamma()
     if method == "paper":
         signed, elements = _paper_readout(params, kind, grid)
     else:
@@ -232,7 +233,7 @@ def esd_time(params: VParams, start: BellKind | str | np.ndarray, *,
     (``steady_concurrence``), with no pair state, and is answered from it
     alone: it never dies in finite time (see the derivation below), so it
     is otherwise asymptotically zero. An explicit start takes its limit
-    from the 9x9 steady pair channel.
+    from the scan's own readout of the evolved pair at gamma_t = infinity.
 
     Otherwise the signed X-branch argument is scanned (see
     ``_scan_for_death``). A Bell start under the published forms (method
@@ -240,9 +241,11 @@ def esd_time(params: VParams, start: BellKind | str | np.ndarray, *,
     at the horizon, and its scan reads the published elements alone. The
     scan of the evolved pair (``_evolved_readout``) serves an explicit
     start, which the published forms do not cover, so it takes method
-    'oracle' only.
+    'oracle' only. Every time is gamma*t, read with
+    ``params.in_units_of_gamma()``.
     """
     _check_method(params, method)
+    params = params.in_units_of_gamma()
     bell_start = isinstance(start, str)  # a BellKind is a str
     if bell_start:
         kind = BellKind(start)
@@ -254,7 +257,7 @@ def esd_time(params: VParams, start: BellKind | str | np.ndarray, *,
     elif bell_start:
         limit = steady_concurrence(params, kind)
     else:
-        limit = concurrence_x(project_to_qubits(steady_pair(params, params, start)).rho)
+        limit = max(0.0, _signed_point(params, start, math.inf)[0])
     if limit > 10.0 * ESD_THRESHOLD:
         return EsdResult("asymptotic_positive", concurrence_limit=limit)
     if bell_start and method == "oracle":
@@ -269,7 +272,7 @@ def esd_time(params: VParams, start: BellKind | str | np.ndarray, *,
         # The normalising trace is positive, so the unnormalised published
         # branch has the sign of the normalised one that the curve reads.
         def signed_at(gamma_t):
-            pub = published_pair_elements(params, kind, gamma_t / params.gamma)
+            pub = published_pair_elements(params, kind, gamma_t)
             return _published_branch(pub, kind, 1.0)[0]
     else:
         def signed_at(gamma_t):

@@ -22,7 +22,11 @@ omega2) - i Gamma with the damping matrix Gamma = [[gamma_1, gamma_12],
 detuning: both decay rates and the eigenprojectors of H_eff are formed
 from sums of non-negative terms, so no rate is lost to cancellation
 however far apart the two rates are (see _no_jump_propagator). Its
-t -> infinity limit is the steady state.
+t -> infinity limit is the steady state: every propagator takes
+t = math.inf and returns that limit (steady_no_jump), or raises
+NoConvergence where none exists. Every rate and frequency scales with
+gamma, so the dimensionless gamma*t is the only time a reader needs: the
+propagator of params at t is that of params.in_units_of_gamma() at gamma*t.
 Gamma is singular only at p = 1 or eta = 0. At p = 1 its kernel, the
 dark superposition (eta|1> - |2>)/sqrt(1 + eta^2), is decoupled from
 the reservoir and traps population, while the orthogonal bright one
@@ -103,6 +107,12 @@ class VParams:
     def bright_rate(self) -> float:
         """Coherence decay rate gamma*(1 + eta^2) of the bright channel."""
         return self.gamma * (1.0 + self.eta**2)
+
+    def in_units_of_gamma(self) -> VParams:
+        """The same atom with gamma = 1 and its frequencies divided by gamma:
+        its propagator at gamma*t is this atom's at t."""
+        return VParams(eta=self.eta, p=self.p, omega1=self.omega1 / self.gamma,
+                       omega2=self.omega2 / self.gamma)
 
 
 def basis_ket(i: int) -> np.ndarray:
@@ -207,8 +217,11 @@ def _no_jump_propagator(params: VParams, t: float) -> np.ndarray:
       (r t)^2 replaces the projectors.
     Rates and projectors are formed in units of s = max(m, |w|), or of
     gamma_1 where both round to 0, so no square over- or underflows.
+    At t = infinity it is the limit, ``steady_no_jump(params)``.
     """
     t = float(t)  # a numpy t would make every product below warn where it overflows
+    if t == math.inf:
+        return steady_no_jump(params)
     g1, g2, g12, p = params.gamma1, params.gamma2, params.gamma12, params.p
     mean_w = 0.5 * params.omega1 + 0.5 * params.omega2
     half_dw = 0.5 * params.omega1 - 0.5 * params.omega2
@@ -254,19 +267,20 @@ def _no_jump_propagator(params: VParams, t: float) -> np.ndarray:
 
 
 def _check_time(t: float) -> None:
-    if not 0.0 <= t < math.inf:
-        raise ValueError(f"t must be finite and non-negative, got {t}")
+    if not t >= 0.0:  # rejects NaN too
+        raise ValueError(f"t must be non-negative, got {t}")
 
 
 def propagate_channel(params: VParams, t: float) -> np.ndarray:
-    """9x9 propagator vec(rho0) -> vec(rho(t)), closed form for every (eta, p, omega)."""
+    """9x9 propagator vec(rho0) -> vec(rho(t)) for every (eta, p, omega), t = inf included."""
     _check_time(t)
     return _channel_from_no_jump(_no_jump_propagator(params, t))
 
 
 def no_jump_propagators(params: VParams, ts: np.ndarray) -> np.ndarray:
     """The 2x2 no-jump propagator U(t) at each of the T times ``ts``, stacked
-    as (T, 2, 2). One scalar closed form per time, so U is written once."""
+    as (T, 2, 2). One scalar closed form per time, so U is written once; a
+    time math.inf gives U(infinity), ``steady_no_jump(params)``."""
     times = np.asarray(ts, dtype=float).reshape(-1).tolist()
     for t in times:
         _check_time(t)
@@ -314,15 +328,6 @@ def steady_no_jump(params: VParams, rho0: np.ndarray | None = None) -> np.ndarra
             "there is no long-time limit"
         )
     return np.outer(kernel, kernel) / (1.0 + params.eta**2)
-
-
-def steady_channel(params: VParams, rho0: np.ndarray | None = None) -> np.ndarray:
-    """Infinite-time limit of the propagator: the 9x9 no-jump assembly of
-    U(infinity) (``steady_no_jump``, which raises NoConvergence where the
-    limit does not exist). The readers take U(infinity) itself
-    (``steady_state``, ``bipartite.bell_x_elements``); this channel serves
-    the steady pair of an explicit pair state."""
-    return _channel_from_no_jump(steady_no_jump(params, rho0))
 
 
 def single_atom_states(u: np.ndarray, rho0: np.ndarray) -> np.ndarray:

@@ -13,7 +13,6 @@ from vicsim.bipartite import (
     project_to_qubits,
     published_pair_elements,
     qubit_block,
-    steady_pair,
 )
 from vicsim.oracles import evolve_pair_joint, joint_liouvillian, rk4_evolve
 from vicsim.vsystem import VParams, hermitize, propagate_channel
@@ -161,7 +160,7 @@ def test_heterogeneous_params_supported():
 def test_steady_pair_matches_long_time_evolution():
     params = VParams(eta=1.2, p=1.0)
     rho0 = bell_state(BellKind.PSI)
-    limit = steady_pair(params, params, rho0)
+    limit = evolve_pair(params, params, rho0, math.inf)
     late = evolve_pair(params, params, rho0, 60.0 / params.gamma)
     assert max_abs(limit - late) <= 1e-10
 

@@ -17,10 +17,10 @@ from vicsim.bipartite import (
     BellKind,
     apply_pair_channel,
     bell_state,
+    evolve_pair,
     project_to_qubits,
     published_pair_elements,
     qubit_block,
-    steady_pair,
 )
 from vicsim.cli import COMMANDS, COMPARE_CHUNK, OPTIONS, main
 from vicsim.entanglement import EsdResult, concurrence_x
@@ -32,6 +32,7 @@ from vicsim.vsystem import (
     published_single_atom,
     superposition_state,
 )
+from util import without_gamma_echo
 
 SQRT2 = "1.4142135623730951"
 
@@ -260,10 +261,10 @@ def test_steady_rho_matrix_shape(capsys):
 
 
 def _steady_report_9x9(params, bell):
-    """The steady report read through the 9x9 steady pair channel: the pair
+    """The steady report read through the 9x9 pair evolved to t = infinity: the pair
     map, the projection and the X-form concurrence."""
     kind = BellKind(bell)
-    projected = project_to_qubits(steady_pair(params, params, bell_state(kind)))
+    projected = project_to_qubits(evolve_pair(params, params, bell_state(kind), math.inf))
     rho = projected.rho
     ratio = ratio_published = None
     if kind is BellKind.PSI:
@@ -493,6 +494,18 @@ def test_esd_product_state_hook(capsys):
     assert report["gamma_t_death"] == 0.0
 
 
+def test_esd_product_report_names_the_evolved_start(capsys):
+    # --bell names a start the product run never evolves, so no report echoes it
+    reports = [run_cli(capsys, "esd", "--initial", "product", "--bell", bell, "--eta", "0.5")
+               for bell in ("psi", "phi")]
+    assert reports[0] == reports[1]
+    code, out, err = reports[0]
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert list(report) == ["eta", "p", "initial", "kind", "gamma_t_death"]
+    assert report["initial"] == "product"
+
+
 def test_esd_product_state_rejects_paper_method(capsys):
     code, out, err = run_cli(capsys, "esd", "--initial", "product", "--method", "paper")
     assert code == 2 and out == ""
@@ -644,25 +657,21 @@ def test_unallocatable_grid_is_a_diagnostic(capsys, command):
     assert err.count("\n") == 1
 
 
-# Each command form that divides a gamma*t by gamma: t-max, or the esd scan
-# horizon gamma*t = 50.
+# Each command form that reads a gamma*t: t-max, or the esd scan horizon gamma*t = 50.
 TIME_FORMS = [("curve",), ("curve", "--method", "paper"), ("single",), ("compare",),
               ("esd", "--initial", "product"), ("esd", "--method", "paper")]
-
-
-@pytest.mark.parametrize("form", TIME_FORMS, ids=" ".join)
-def test_a_gamma_too_small_for_the_horizon_is_named(capsys, form):
-    code, out, err = run_cli(capsys, *form, "--gamma", "1e-320", *_steps(form[0]))
-    assert code == 2 and out == ""
-    horizon = "the esd scan horizon / gamma = 50.0" if form[0] == "esd" else "t-max / gamma = 10.0"
-    assert err == f"error: gamma = 1e-320 is too small: {horizon} / 1e-320 overflows\n"
+# the smallest subnormal, subnormal, tiny, moderate and the largest gamma of the default eta
+INVARIANCE_GAMMAS = ("5e-324", "1e-320", "1e-300", "0.7", "3.1", "1e300")
 
 
 @pytest.mark.parametrize("form", TIME_FORMS + [("steady",), ("esd",)], ids=" ".join)
-def test_a_tiny_gamma_whose_times_stay_finite_runs(capsys, form):
-    gamma = "1e-320" if form in (("steady",), ("esd",)) else "1e-300"
-    code, out, err = run_cli(capsys, *form, "--gamma", gamma, *_steps(form[0]))
-    assert (code, err) == (0, "")
+def test_the_cli_is_gamma_invariant(capsys, form):
+    # --gamma sets the unit: every output is in gamma*t or dimensionless
+    _, want, _ = run_cli(capsys, *form, "--gamma", "1", *_steps(form[0]))
+    for gamma in INVARIANCE_GAMMAS:
+        code, out, err = run_cli(capsys, *form, "--gamma", gamma, *_steps(form[0]))
+        assert (code, err) == (0, ""), gamma
+        assert without_gamma_echo(out) == without_gamma_echo(want), gamma
 
 
 @pytest.mark.parametrize("command", ["curve", "single", "steady", "compare", "esd"])

@@ -6,8 +6,9 @@ Every run must exit 0 with nothing on stderr, or exit 2 with a one-line
 so does any warning it raises (a numpy overflow, an unclosed file).
 The output of a run that exits 0 must be finite: a JSON report parses as
 strict JSON, with no ``NaN`` or ``Infinity``, and every CSV value is a
-finite float. Each run passes only flags its command takes (test_cli
-checks that every other flag exits 2); a config file may hold any key.
+finite float. On the lattice it must also be the output at gamma = 1.
+Each run passes only flags its command takes (test_cli checks that
+every other flag exits 2); a config file may hold any key.
 ``--steps`` stays at most 200, so no run builds a large grid.
 """
 
@@ -25,6 +26,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from vicsim.cli import COMMANDS, main
+from util import without_gamma_echo
 
 NUMBERS = st.one_of(
     st.sampled_from(["nan", "inf", "-inf", "-1", "0", "-0", "1e-300", "1e300", "abc", "",
@@ -115,7 +117,7 @@ def _unwritable_output_examples(test):
 @example(run=("esd", [["--method", "paper"], ["--eta", "1e100"]]), config=None)
 @example(run=("compare", [["--eta", "1e100"], ["--steps", "5"]]), config=None)
 @example(run=("steady", [["--eta", "1e154"]]), config=None)
-# times whose decay exponent, or gamma_t / gamma itself, overflows a float
+# times whose decay exponent overflows a float, at gamma = 1 and below
 @example(run=("single", [["--t-max", "1e308"], ["--steps", "3"]]), config=None)
 @example(run=("compare", [["--t-max", "1e308"], ["--steps", "3"]]), config=None)
 @example(run=("curve", [["--method", "paper"], ["--t-max", "1.7e308"], ["--steps", "3"]]),
@@ -172,9 +174,21 @@ def test_cli_exits_cleanly_on_a_lattice_of_float_extremes(form):
     reads = ("--gamma", "--eta", "--p") + FORMS[form]
     steps = ["--steps", "3"] if "--t-max" in reads else []
     lattice = itertools.product(*(LATTICE[flag] for flag in reads))
+    outputs = {}
+
+    def run(values):
+        if values not in outputs:
+            argv = [*form, *itertools.chain(*zip(reads, values)), *steps]
+            outputs[values] = _assert_exits_cleanly(argv)
+        return outputs[values]
+
     answered_etas = set()
     for values in itertools.islice(lattice, 0, None, STRIDES.get(form, 1)):
-        code, out = _assert_exits_cleanly([*form, *itertools.chain(*zip(reads, values)), *steps])
+        code, out = run(values)
+        if code == 0:
+            # --gamma sets the unit: the output is that of gamma = 1 in the same row
+            unit_code, unit_out = run(("1",) + values[1:])
+            assert unit_code == 0 and without_gamma_echo(out) == without_gamma_echo(unit_out), values
         if form == PRODUCT and code == 0:
             # a separable start is dead from the start, at every eta
             report = json.loads(out)

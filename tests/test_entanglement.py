@@ -410,7 +410,7 @@ def test_long_time_bell_answers_build_no_pair(monkeypatch):
         raise AssertionError("a long-time Bell answer built the 9x9 pair")
 
     # every binding, in every vicsim module that imports them
-    for name in ("steady_pair", "apply_pair_channel", "project_to_qubits", "propagate_channel"):
+    for name in ("evolve_pair", "apply_pair_channel", "project_to_qubits", "propagate_channel"):
         for module_name, module in list(sys.modules.items()):
             if module_name.startswith("vicsim") and hasattr(module, name):
                 monkeypatch.setattr(module, name, paired)

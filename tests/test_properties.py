@@ -18,11 +18,13 @@ from vicsim.bipartite import (
     bell_state,
     bell_x_elements,
     evolve_pair,
+    product_state,
     project_to_qubits,
     qubit_block,
-    steady_pair,
 )
-from vicsim.entanglement import CURVE_COLUMNS, concurrence_curve, concurrence_x, x_branch_values
+from vicsim.entanglement import (
+    CURVE_COLUMNS, concurrence_curve, concurrence_x, esd_time, x_branch_values,
+)
 from vicsim.oracles import concurrence_wootters, propagate_spectral
 from vicsim.vsystem import (
     EXCITED,
@@ -30,13 +32,13 @@ from vicsim.vsystem import (
     UMBRELLA,
     NoConvergence,
     VParams,
+    _channel_from_no_jump,
     apply_channel,
     basis_ket,
     no_jump_propagators,
     propagate_channel,
     pure_state,
     single_atom_states,
-    steady_channel,
     steady_no_jump,
     steady_state,
 )
@@ -163,13 +165,65 @@ def test_oracle_curve_columns_equal_the_per_sample_reference(params, kind, t_max
 @example(params=VParams(eta=1e100, p=1.0), kind=BellKind.PHI)
 def test_bell_reader_at_infinity_equals_the_steady_qubit_block(params, kind):
     try:
-        block = qubit_block(steady_pair(params, params, bell_state(kind)))
+        block = qubit_block(evolve_pair(params, params, bell_state(kind), math.inf))
     except NoConvergence:
         # both routes refuse a decay-free level that keeps rotating
         with pytest.raises(NoConvergence):
             steady_no_jump(params)
         return
     _assert_reader_is_the_block(bell_x_elements(steady_no_jump(params)[None], kind), block)
+
+
+@PROFILE
+@given(params=_PARAMS)
+@example(params=VParams(eta=0.0, p=0.3, omega2=1.5))  # no limit
+@example(params=VParams(eta=0.7, p=1.0, omega1=0.4, omega2=0.4))  # no limit
+@example(params=VParams(eta=0.7, p=1.0 - 1e-9))
+@example(params=VParams(eta=1e100, p=1.0))
+def test_the_propagators_take_t_infinity_as_the_limit(params):
+    try:
+        want = steady_no_jump(params)
+    except NoConvergence:
+        with pytest.raises(NoConvergence):
+            propagate_channel(params, math.inf)
+        with pytest.raises(NoConvergence):
+            no_jump_propagators(params, [0.0, 1.0, math.inf])
+        return
+    assert np.array_equal(propagate_channel(params, math.inf), _channel_from_no_jump(want))
+    assert np.array_equal(no_jump_propagators(params, [0.0, 1.0, math.inf])[2], want)
+
+
+def _outcome(call, *args, **kwargs):
+    """What ``call`` returns, or the repr of the error it raises."""
+    try:
+        return call(*args, **kwargs)
+    except ValueError as exc:
+        return repr(exc)
+
+
+@settings(SHORT_PROFILE, max_examples=40)  # a product start scans 1001 evolved samples
+@given(params=_PARAMS, start=st.sampled_from([BellKind.PSI, BellKind.PHI, "product"]),
+       p1=st.booleans())
+@example(params=VParams(gamma=0.5, eta=0.0, p=0.3, omega2=1.5), start="product", p1=False)
+@example(params=VParams(gamma=2.0, eta=0.7, p=1.0, omega1=0.4), start=BellKind.PSI, p1=True)
+def test_curve_and_esd_read_gamma_t_in_units_of_gamma(params, start, p1):
+    if p1:  # where the published forms apply too
+        params = VParams(params.gamma, params.eta, 1.0, params.omega1, params.omega2)
+    unit = VParams(eta=params.eta, p=params.p, omega1=params.omega1 / params.gamma,
+                   omega2=params.omega2 / params.gamma)
+    # the published forms apply at p = 1 and cover only the Bell starts
+    methods = ("oracle", "paper") if params.p == 1.0 and start != "product" else ("oracle",)
+    if start == "product":
+        start = product_state(0, 0)
+    else:
+        grid = np.linspace(0.0, 8.0, 9)
+        for method in methods:
+            got, want = (concurrence_curve(atom, start, grid, method) for atom in (params, unit))
+            for name in CURVE_COLUMNS:
+                assert np.array_equal(getattr(got, name), getattr(want, name)), (method, name)
+    for method in methods:
+        assert _outcome(esd_time, params, start, method=method) == _outcome(
+            esd_time, unit, start, method=method), method
 
 
 _SEED = st.integers(0, 2**32 - 1)
@@ -220,7 +274,7 @@ def _steady_starts(rng):
 def test_steady_state_is_the_steady_channel(params, seed):
     for rho0 in _steady_starts(np.random.default_rng(seed)):
         try:
-            want = apply_channel(steady_channel(params, rho0), rho0)
+            want = apply_channel(_channel_from_no_jump(steady_no_jump(params, rho0)), rho0)
         except NoConvergence:
             with pytest.raises(NoConvergence):
                 steady_state(params, rho0)

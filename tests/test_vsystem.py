@@ -23,6 +23,7 @@ from vicsim.vsystem import (
     dark_vector,
     excited_state,
     ground_state,
+    no_jump_propagators,
     propagate_channel,
     published_single_atom,
     pure_state,
@@ -243,6 +244,22 @@ def test_overflowing_phase_is_named(params, t):
     # a level phase omega * t beyond the largest float has no finite exp
     with pytest.raises(ValueError, match=r"phase \(mean frequency.* overflows a float at t = "):
         propagate_channel(params, t)
+
+
+@pytest.mark.parametrize("t", [-1.0, math.nan])
+def test_a_negative_or_nan_time_is_rejected(t):
+    params = VParams(eta=0.7, p=0.5)
+    with pytest.raises(ValueError, match=rf"^t must be non-negative, got {t}$"):
+        propagate_channel(params, t)
+    with pytest.raises(ValueError, match=rf"^t must be non-negative, got {t}$"):
+        no_jump_propagators(params, [0.0, math.inf, t])
+
+
+def test_in_units_of_gamma_divides_the_frequencies_by_gamma():
+    params = VParams(gamma=4.0, eta=0.7, p=0.5, omega1=2.0, omega2=-1.0)
+    assert params.in_units_of_gamma() == VParams(eta=0.7, p=0.5, omega1=0.5, omega2=-0.25)
+    with pytest.raises(ValueError, match="^omega1 and omega2 must be finite, got inf, 0.0$"):
+        VParams(gamma=1e-300, omega1=1e10).in_units_of_gamma()
 
 
 def _equal_frequency_reference(params, t):

@@ -1,4 +1,6 @@
-"""Shared test helpers: random states and operators."""
+"""Shared test helpers: random states and operators, and CLI output."""
+
+import re
 
 import numpy as np
 
@@ -48,3 +50,9 @@ def einsum_pair_map(channel_a, channel_b, rho_pair):
                     split(channel_a), split(channel_b), split(rho_pair))
     out = out.reshape(out.shape[:-4] + (9, 9))
     return (out + out.conj().swapaxes(-1, -2)) / 2.0
+
+
+def without_gamma_echo(out):
+    """CLI stdout without compare's ``"gamma"`` echo, the one output line
+    that names the unit of time."""
+    return re.sub(r'\n  "gamma": [^\n]*\n', "\n", out)
