@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .vsystem import VParams, hermitize, propagate_channel
+from .vsystem import VParams, _bright_decay, hermitize, propagate_channel
 
 PAIR_DIM = 9
 # Pair-space indices of |1A1B>, |1A3B>, |3A1B>, |3A3B>, in that basis order.
@@ -73,6 +73,9 @@ def bell_state(kind: BellKind | str) -> np.ndarray:
 
 def product_state(ket_a: int = 0, ket_b: int = 0) -> np.ndarray:
     """Separable |ket_a>_A |ket_b>_B pair state (levels zero-based)."""
+    for level in (ket_a, ket_b):
+        if level not in (0, 1, 2):
+            raise ValueError(f"level must be 0, 1 or 2, got {level!r}")
     v = np.zeros(PAIR_DIM, dtype=complex)
     v[3 * ket_a + ket_b] = 1.0
     return np.outer(v, v.conj())
@@ -204,8 +207,7 @@ def published_pair_elements(params: VParams, kind: BellKind | str,
     """
     eta2 = params.eta**2
     e = 1.0 + eta2
-    with np.errstate(over="ignore"):  # rate * t overflows to inf, whose exp(-inf) = 0 is right
-        x = np.exp(-params.bright_rate * t)
+    x = _bright_decay(params, t)
     x2 = x * x
     x3, x4 = x2 * x, x2 * x2
     # psi's rho14 and phi's rho23 are printed as the same form

@@ -8,9 +8,10 @@ formatting for CSV, insertion-ordered keys for JSON; it goes to stdout
 for --output - and to the named file otherwise. --gamma sets the unit
 of time: every output is in gamma*t or dimensionless, so each run
 computes at gamma = 1 (VParams.in_units_of_gamma). OPTIONS declares
-each option and COMMANDS the flags and rules of each command, which
-takes no flag it does not read; RunConfig, the config-file reader, the
-parser and every check are read from the two.
+each option, and COMMANDS the flags each command reads and its own rows
+(its --initial starts, say); a command takes no flag it does not read.
+RunConfig, the config-file reader, the parser and every option check are
+read from the two. Every physics rule is the library's.
 """
 
 from __future__ import annotations
@@ -27,16 +28,15 @@ from typing import Any, NamedTuple
 import numpy as np
 
 from .bipartite import BellKind, bell_x_elements, product_state, published_pair_elements
-from .entanglement import CURVE_COLUMNS, concurrence_curve, esd_time
+from .entanglement import CURVE_COLUMNS, METHODS, concurrence_curve, esd_time
 from .vsystem import (
-    VParams, apply_channel, excited_state, ground_state, no_jump_propagators, propagate_channel,
-    published_single_atom, single_atom_states, steady_no_jump, steady_state, superposition_state,
+    VParams, apply_channel, check_published, excited_state, ground_state, no_jump_propagators,
+    propagate_channel, published_single_atom, single_atom_states, steady_no_jump, steady_state,
+    superposition_state,
 )
 
 CURVE_HEADER = ",".join(CURVE_COLUMNS)
 SINGLE_HEADER = "gamma_t,rho11,rho22,rho33,rho13_re,rho13_im"
-
-METHODS = ("oracle", "paper")
 
 
 class ConfigError(ValueError):
@@ -46,9 +46,8 @@ class ConfigError(ValueError):
 class Option(NamedTuple):
     """A flag with its type, default, help (the default through ``{}``;
     None: each command taking it gives its own) and allowed values: the
-    default or one of ``choices`` (else the ``unknown`` diagnostic),
-    passing each (test, what it must be) of ``rules``. VParams holds the
-    rules of gamma, eta and p.
+    default or one of ``choices``, passing each (test, what it must be)
+    of ``rules``. VParams holds the rules of gamma, eta and p.
     """
 
     flag: str
@@ -58,12 +57,10 @@ class Option(NamedTuple):
     choices: tuple[str, ...] = ()
     rules: tuple[tuple[Callable[[Any], bool], str], ...] = ()
     in_config: bool = True  # a RunConfig field and config-file key
-    unknown: str = "{name} must be {choices}, got {value!r}"
 
     def check(self, value: Any) -> None:
         if self.choices and value != self.default and value not in self.choices:
-            raise ConfigError(self.unknown.format(name=self.flag[2:], value=value,
-                                                  choices=" or ".join(self.choices)))
+            raise ConfigError(f"{self.flag[2:]} must be {' or '.join(self.choices)}, got {value!r}")
         for test, what in self.rules:
             if not test(value):
                 raise ConfigError(f"{self.flag[2:]} must be {what}, got {value!r}")
@@ -80,9 +77,9 @@ OPTIONS = (
            rules=((lambda v: v >= 2, "at least 2"),)),
     Option("--method", str, "oracle",
            "oracle evolution or published closed forms (default {})", choices=METHODS),
-    Option("--initial", str, None, None),
     Option("--output", str, "-", "output path, or - for stdout (default)"),
     Option("--config", str, None, "key=value config file; flags take precedence", in_config=False),
+    Option("--initial", str, None, None),  # each command taking it gives its starts
 )
 
 SHARED = ("--gamma", "--eta", "--p", "--output", "--config")  # the flags of every command
@@ -122,19 +119,20 @@ def _load_config_file(path: str) -> dict:
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    """Merge precedence: flag > config file > the command's --initial default
-    > built-in default; then check each option given, and the command's rules."""
-    command = COMMANDS[args.command]
-    values = {"initial": command.initial.default} if command.initial else {}
+    """Merge precedence: flag > config file > the command's own default >
+    built-in default; then check each value given by the command's own
+    row, or else by its OPTIONS row."""
+    own = {option.flag: option for option in COMMANDS[args.command].own}
+    rows = {key: own.get(option.flag, option) for key, option in _OPTIONS.items()}
+    values = {key: row.default for key, row in rows.items() if row.flag in own}
     values.update(_load_config_file(args.config) if args.config else {})
     values.update({key: value for key, value in vars(args).items()
                    if value is not None and key in _OPTIONS})
     cfg = RunConfig(**values)
     _params(cfg)  # VParams validates gamma, eta and p
-    for key, option in _OPTIONS.items():
+    for key, row in rows.items():
         if key in values:  # every default holds its rules
-            option.check(values[key])
-    command.check(args.command, cfg)
+            row.check(values[key])
     return cfg
 
 
@@ -278,6 +276,7 @@ def run_compare(cfg: RunConfig) -> int:
     The grid is read COMPARE_CHUNK times at a time.
     """
     params = _params(cfg)
+    check_published(params)
     times = _grid(cfg)
     worst = np.max([_compare_deviations(params, times[i:i + COMPARE_CHUNK])
                     for i in range(0, times.size, COMPARE_CHUNK)], axis=0)
@@ -318,58 +317,43 @@ def run_esd(cfg: RunConfig) -> int:
 
 
 class Command(NamedTuple):
-    """The flags of a subcommand, and its rules, checked in field order by ``check``."""
+    """A subcommand: its run, its help, the flags it reads beyond SHARED, and
+    its own rows, the OPTIONS rows of flags it reads with its own default,
+    help or choices."""
 
     run: Callable[[RunConfig], int]
     help: str
-    reads: tuple[str, ...] = ()  # the flags it reads beyond SHARED, --method and --initial
-    methods: tuple[str, ...] = ()  # the methods it reads (none: it takes no --method)
-    needs_p1: bool = False  # at any method; method paper always needs p = 1
-    # its --initial flag (None: it takes none), the --initial option with its
-    # own default start, help and start names; and the methods other starts support
-    initial: Option | None = None
-    initial_methods: tuple[str, ...] = METHODS
+    reads: tuple[str, ...] = ()
+    own: tuple[Option, ...] = ()
 
     def options(self) -> list[Option]:
-        """The flags it takes, SHARED and those it reads, then its --initial."""
-        takes = SHARED + self.reads + ("--method",) * bool(self.methods)
-        initial = [self.initial] if self.initial else []
-        return [option for option in OPTIONS if option.flag in takes] + initial
-
-    def check(self, name: str, cfg: RunConfig) -> None:
-        if self.methods and cfg.method not in self.methods:
-            raise ConfigError(f"{name} supports the {' or '.join(self.methods)} method only")
-        if self.methods and cfg.method == "paper" and cfg.p != 1.0:
-            raise ConfigError("method paper requires p = 1")
-        if self.needs_p1 and cfg.p != 1.0:
-            raise ConfigError(f"{name} requires p = 1")
-        if (initial := self.initial) is not None:
-            initial.check(cfg.initial)
-            if cfg.initial != initial.default and cfg.method not in self.initial_methods:
-                raise ConfigError(f"{name} --initial {cfg.initial} supports the "
-                                  f"{' or '.join(self.initial_methods)} method only")
+        """The OPTIONS rows it takes, SHARED and those it reads, in OPTIONS
+        order, each of its own rows in place of the shared one."""
+        own = {option.flag: option for option in self.own}
+        return [own.get(option.flag, option) for option in OPTIONS
+                if option.flag in SHARED + self.reads]
 
 
 COMMANDS = {
-    "curve": Command(run_curve, "concurrence vs gamma*t as CSV", ("--bell", "--t-max", "--steps"),
-                     METHODS),
-    "single": Command(run_single, "single-atom trajectory as CSV", ("--t-max", "--steps"),
-                      ("oracle",), initial=_OPTIONS["initial"]._replace(
-                          default="excited", choices=tuple(_SINGLE_STARTS),
-                          help="initial single-atom state (default {})",
-                          unknown="unknown initial state {value!r}")),
+    "curve": Command(run_curve, "concurrence vs gamma*t as CSV",
+                     ("--bell", "--t-max", "--steps", "--method")),
+    "single": Command(run_single, "single-atom trajectory as CSV",
+                      ("--t-max", "--steps", "--method", "--initial"),
+                      (_OPTIONS["method"]._replace(choices=("oracle",),
+                                                   help="oracle evolution (default {})"),
+                       _OPTIONS["initial"]._replace(
+                           default="excited", choices=tuple(_SINGLE_STARTS),
+                           help="initial single-atom state (default {})"))),
     "steady": Command(run_steady, "long-time report as JSON", ("--bell",)),
     "compare": Command(run_compare, "published closed forms vs oracle, as JSON",
-                       ("--t-max", "--steps"), needs_p1=True),
-    "esd": Command(run_esd, "sudden-death search as JSON", ("--bell",), METHODS,
-                   initial=_OPTIONS["initial"]._replace(
+                       ("--t-max", "--steps")),
+    "esd": Command(run_esd, "sudden-death search as JSON", ("--bell", "--method", "--initial"),
+                   (_OPTIONS["initial"]._replace(
                        choices=("product",),
-                       help="replace the Bell start with a separable product state",
-                       unknown="esd accepts only initial={choices}, got {value!r}"),
-                   initial_methods=("oracle",)),
+                       help="replace the Bell start with a separable product state"),)),
 }
 
-# The run function of each command, called once its rules hold.
+# The run function of each command, called once its options hold.
 _COMMANDS = {name: command.run for name, command in COMMANDS.items()}
 
 

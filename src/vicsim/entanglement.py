@@ -29,7 +29,7 @@ from .bipartite import (
     project_to_qubits,
     published_pair_elements,
 )
-from .vsystem import UnsupportedParams, VParams, no_jump_propagators, steady_no_jump
+from .vsystem import VParams, check_published, no_jump_propagators, steady_no_jump
 
 # Entries allowed to be nonzero in an X-shaped 4x4 state.
 _X_MASK = np.zeros((4, 4), dtype=bool)
@@ -37,6 +37,10 @@ _X_MASK[np.arange(4), np.arange(4)] = True
 _X_MASK[np.arange(4), np.arange(4)[::-1]] = True
 
 X_FORM_TOL = 1e-10
+
+# The routes of a curve or a sudden-death search: the evolved pair, or the
+# published closed forms (p = 1 only, ``vsystem.check_published``).
+METHODS = ("oracle", "paper")
 
 
 class NotXForm(ValueError):
@@ -165,10 +169,10 @@ def _published_branch(pub: dict, kind: BellKind, trace: float) -> tuple[float, d
 
 
 def _check_method(params: VParams, method: str) -> None:
-    if method not in ("oracle", "paper"):
+    if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
-    if method == "paper" and params.p != 1.0:
-        raise UnsupportedParams("published closed forms require p = 1")
+    if method == "paper":
+        check_published(params)
 
 
 def concurrence_curve(params: VParams, kind: BellKind | str, gamma_ts: np.ndarray,

@@ -54,6 +54,13 @@ class UnsupportedParams(ValueError):
     """Parameters outside the validity domain of the published closed forms."""
 
 
+def check_published(params: VParams) -> None:
+    """Raise UnsupportedParams outside the domain of the published closed
+    forms: maximal interference, p = 1."""
+    if params.p != 1.0:
+        raise UnsupportedParams("published closed forms require p = 1")
+
+
 class NoConvergence(ValueError):
     """The state keeps rotating forever, so it has no long-time limit."""
 
@@ -380,6 +387,14 @@ class PublishedSingleAtom(NamedTuple):
     rho13: complex | np.ndarray
 
 
+def _bright_decay(params: VParams, t: float | np.ndarray) -> float | np.ndarray:
+    """x = exp(-bright_rate t) of the published forms, at a time or an array
+    of times, each non-negative: t = math.inf gives 0."""
+    _check_time(t if isinstance(t, float) else np.min(t, initial=0.0))  # NaN if any is NaN
+    with np.errstate(over="ignore"):  # rate * t overflows to inf, whose exp(-inf) = 0 is right
+        return np.exp(-params.bright_rate * t)
+
+
 def published_single_atom(params: VParams, rho0: np.ndarray,
                           t: float | np.ndarray) -> PublishedSingleAtom:
     """Evaluate the published single-atom closed forms verbatim at t, a time
@@ -393,8 +408,7 @@ def published_single_atom(params: VParams, rho0: np.ndarray,
     """
     rho0 = np.asarray(rho0, dtype=complex)
     eta2 = params.eta**2
-    with np.errstate(over="ignore"):  # rate * t overflows to inf, whose exp(-inf) = 0 is right
-        x = np.exp(-params.bright_rate * t)
+    x = _bright_decay(params, t)
     x2 = x * x
     al, be = alpha_beta(rho0)
     rho11 = (

@@ -44,6 +44,13 @@ def test_bell_is_normalized_and_pure(kind):
     assert abs(np.trace(rho @ rho) - 1.0) <= 1e-15
 
 
+@pytest.mark.parametrize("levels", [(-1, 0), (0, 3), (3, 0)], ids=repr)
+def test_product_state_rejects_levels_outside_the_atom(levels):
+    bad = next(level for level in levels if level not in (0, 1, 2))
+    with pytest.raises(ValueError, match=f"level must be 0, 1 or 2, got {bad}"):
+        product_state(*levels)
+
+
 def test_evolve_zero_time():
     params = VParams(eta=1.2, p=1.0)
     rho0 = bell_state(BellKind.PSI)

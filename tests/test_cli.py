@@ -509,7 +509,25 @@ def test_esd_product_report_names_the_evolved_start(capsys):
 def test_esd_product_state_rejects_paper_method(capsys):
     code, out, err = run_cli(capsys, "esd", "--initial", "product", "--method", "paper")
     assert code == 2 and out == ""
-    assert err == "error: esd --initial product supports the oracle method only\n"
+    assert err == ("error: published forms cover only the Bell starts: "
+                   "an explicit start supports the oracle method only\n")
+
+
+@pytest.mark.parametrize("args", [("curve", "--method", "paper"), ("esd", "--method", "paper"),
+                                  ("compare",)], ids=" ".join)
+def test_the_published_domain_is_stated_once(capsys, args):
+    # vsystem.check_published is the one statement of p = 1, for every command form
+    code, out, err = run_cli(capsys, *args, "--p", "0.5")
+    assert (code, out, err) == (2, "", "error: published closed forms require p = 1\n")
+
+
+def test_a_study_wide_method_is_checked_by_the_commands_own_row(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("method = paper\n")
+    code, out, err = run_cli(capsys, "single", "--config", str(config))
+    assert (code, out, err) == (2, "", "error: method must be oracle, got 'paper'\n")
+    code, out, err = run_cli(capsys, "steady", "--config", str(config))
+    assert (code, err) == (0, "") and json.loads(out)["bell"] == "psi"
 
 
 DOMAIN_P = ("0", "0.25", "0.5", "0.75", "0.99", "0.999999999", "1")
@@ -601,7 +619,7 @@ def test_an_empty_config_value_leaves_the_default(tmp_path, capsys, command):
 def test_each_command_takes_only_the_flags_it_reads(tmp_path, capsys, command):
     config = tmp_path / "run.cfg"
     config.write_text("eta = 0.5\n")
-    initial = COMMANDS[command].initial
+    initial = {option.flag: option for option in COMMANDS[command].options()}.get("--initial")
     valid = {"--gamma": "2", "--eta": "0.5", "--p": "1", "--bell": "phi", "--t-max": "3",
              "--steps": "4", "--method": "oracle",
              "--initial": initial.choices[-1] if initial else "product",

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from vicsim.bipartite import published_pair_elements
 from vicsim.oracles import (
     StepTooLarge,
     build_liouvillian,
@@ -438,6 +439,21 @@ def test_published_single_atom_takes_an_array_of_times():
             alone = published_single_atom(params, rho0, t)
             for field in ("rho11", "rho33", "rho13"):
                 assert getattr(batched, field)[i] == getattr(alone, field), (field, t)
+
+
+# negative, overflowing and NaN times, alone and inside an array
+BAD_TIMES = [-1.0, -1000.0, math.nan, np.array([0.0, 2.0, -1.0]), np.array([1.0, math.nan])]
+
+
+@pytest.mark.parametrize("t", BAD_TIMES, ids=["-1", "-1000", "nan", "array-1", "array-nan"])
+def test_published_forms_take_only_non_negative_times(t):
+    # as every propagator does (see test_a_negative_or_nan_time_is_rejected)
+    forms = [lambda: published_single_atom(VParams(), excited_state(), t),
+             lambda: published_pair_elements(VParams(), "psi", t),
+             lambda: published_pair_elements(VParams(), "phi", t)]
+    for form in forms:
+        with pytest.raises(ValueError, match="t must be non-negative, got "):
+            form()
 
 
 def test_published_single_atom_is_finite_where_twice_eta_squared_overflows():
