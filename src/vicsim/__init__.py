@@ -12,25 +12,21 @@ long-time limit, the factorized pair evolution, the two-qubit projection
 and concurrence, curve generation, steady states, sudden-death search,
 and a CLI, all on numpy alone. The closed-form matrix elements quoted in
 the literature for this system ship as a transcription-faithful audit
-mode alongside the oracle dynamics. The independent cross-checks
-(exponentiated Liouvillian, RK4, the joint pair generator and the
-general Wootters concurrence) live in ``vicsim.oracles``, which needs
-scipy and is not imported here.
+mode alongside the oracle dynamics, in ``vicsim.published``. The
+independent cross-checks (exponentiated Liouvillian, RK4, the joint pair
+generator and the general Wootters concurrence) live in
+``vicsim.oracles``, which needs scipy and is not imported here.
 """
 
 from .vsystem import (
     NoConvergence,
-    PublishedSingleAtom,
-    UnsupportedParams,
     VParams,
-    alpha_beta,
     apply_channel,
     dark_vector,
     excited_state,
     ground_state,
     no_jump_propagators,
     propagate_channel,
-    published_single_atom,
     single_atom_states,
     steady_no_jump,
     steady_state,
@@ -47,8 +43,13 @@ from .bipartite import (
     evolve_pair,
     product_state,
     project_to_qubits,
-    published_pair_elements,
     qubit_block,
+)
+from .published import (
+    PublishedSingleAtom,
+    UnsupportedParams,
+    published_pair_elements,
+    published_single_atom,
 )
 from .entanglement import (
     CURVE_COLUMNS,

@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .vsystem import VParams, _bright_decay, hermitize, propagate_channel
+from .vsystem import VParams, excited_state, hermitize, propagate_channel, steady_no_jump
 
 PAIR_DIM = 9
 # Pair-space indices of |1A1B>, |1A3B>, |3A1B>, |3A3B>, in that basis order.
@@ -74,7 +74,7 @@ def bell_state(kind: BellKind | str) -> np.ndarray:
 def product_state(ket_a: int = 0, ket_b: int = 0) -> np.ndarray:
     """Separable |ket_a>_A |ket_b>_B pair state (levels zero-based)."""
     for level in (ket_a, ket_b):
-        if level not in (0, 1, 2):
+        if not isinstance(level, (int, np.integer)) or level not in (0, 1, 2):
             raise ValueError(f"level must be 0, 1 or 2, got {level!r}")
     v = np.zeros(PAIR_DIM, dtype=complex)
     v[3 * ket_a + ket_b] = 1.0
@@ -173,10 +173,10 @@ def bell_x_elements(u: np.ndarray, kind: BellKind | str) -> BellXElements:
         phi: rho22 = rho33 = |rho23| = s/2, rho44 = 1 - P, rho11 = 0.
 
     The stack is ``no_jump_propagators(params, t)`` for a grid of times,
-    or ``steady_no_jump(params)[None]`` for the long-time block. U(infinity)
-    is the projector onto a real decay-free direction, or zero, so U11 is
-    real and non-negative there and the live antidiagonal entry equals its
-    magnitude.
+    or U(infinity) for the long-time block (``steady_bell_x_elements``).
+    U(infinity) is the projector onto a real decay-free direction, or zero,
+    so U11 is real and non-negative there and the live antidiagonal entry
+    equals its magnitude.
     """
     s = (u[..., 0, 0] * u[..., 0, 0].conj()).real
     loss = 1.0 - (s + (u[..., 1, 0] * u[..., 1, 0].conj()).real)  # 1 - P
@@ -188,38 +188,11 @@ def bell_x_elements(u: np.ndarray, kind: BellKind | str) -> BellXElements:
     return BellXElements(zero, half_s, half_s, loss, zero, half_s)
 
 
-def published_pair_elements(params: VParams, kind: BellKind | str,
-                            t: float | np.ndarray) -> dict[str, float | np.ndarray]:
-    """Published closed-form matrix elements of the projected pair state at
-    t, a time or an array of times (numpy scalars or arrays).
+_EXCITED = excited_state()  # an atom in |1> has no coherence with the ground level
 
-    Values are unnormalized (the printed forms are divided by the
-    projected trace only at readout). For the doubly-excited Bell state
-    the published elements are rho11, rho22 = rho33 and rho14; for the
-    single-excitation Bell state only rho23 is given. rho44 is never
-    printed: the readout takes the trace from ``bell_x_elements``.
-    Transcription-faithful: known internal inconsistencies of the printed
-    forms (the rho11 normalization at t = 0, the rho22 long-time limit
-    away from eta = 1) are reproduced as printed and surfaced by the
-    compare tooling. Every term is divided by 1 + eta^2 before anything
-    is squared, so the forms stay finite at any valid eta. Powers of x
-    are products, so a time gives the same bits alone as in an array.
-    """
-    eta2 = params.eta**2
-    e = 1.0 + eta2
-    x = _bright_decay(params, t)
-    x2 = x * x
-    x3, x4 = x2 * x, x2 * x2
-    # psi's rho14 and phi's rho23 are printed as the same form
-    root = (eta2 + x) / e
-    coherence = 0.5 * root * root
-    if _is_psi(kind):
-        # the printed polynomials over 8 (1 + eta^2), term by term, so that no
-        # partial sum exceeds rho11 itself; the x^2 coefficient
-        # (1 + 4 eta^2 + eta^4)/(1 + eta^2) is e + 2 eta^2/e
-        a = eta2 / e
-        rho11 = (0.125 * eta2 * a + 0.125 * x4 / e + 0.25 * x3 + 0.125 * (e + 2.0 * a) * x2
-                 + 0.25 * eta2 * x)
-        rho22 = 0.125 * ((eta2 - x4 + (1.0 - eta2) * x2) / e + x - x3)
-        return {"rho11": rho11, "rho22": rho22, "rho33": rho22, "rho14": coherence}
-    return {"rho23": coherence}
+
+def steady_bell_x_elements(params: VParams, kind: BellKind | str) -> BellXElements:
+    """``bell_x_elements`` at t = infinity. It reads only |U11|^2 and |U21|^2,
+    whose limits exist even where a decay-free level keeps rotating (U(t)
+    tends to a phase times the projector): U(infinity) of an atom in |1>."""
+    return bell_x_elements(steady_no_jump(params, _EXCITED)[None], kind)

@@ -11,7 +11,8 @@ computes at gamma = 1 (VParams.in_units_of_gamma). OPTIONS declares
 each option, and COMMANDS the flags each command reads and its own rows
 (its --initial starts, say); a command takes no flag it does not read.
 RunConfig, the config-file reader, the parser and every option check are
-read from the two. Every physics rule is the library's.
+read from the two. Every physics rule is the library's: the published
+forms, their domain and the compare report are vicsim.published's.
 """
 
 from __future__ import annotations
@@ -27,12 +28,11 @@ from typing import Any, NamedTuple
 
 import numpy as np
 
-from .bipartite import BellKind, bell_x_elements, product_state, published_pair_elements
+from .bipartite import BellKind, product_state, steady_bell_x_elements
 from .entanglement import CURVE_COLUMNS, METHODS, concurrence_curve, esd_time
+from .published import audit, check_published, psi_ratio
 from .vsystem import (
-    VParams, apply_channel, check_published, excited_state, ground_state, no_jump_propagators,
-    propagate_channel, published_single_atom, single_atom_states, steady_no_jump, steady_state,
-    superposition_state,
+    VParams, apply_channel, excited_state, ground_state, propagate_channel, superposition_state,
 )
 
 CURVE_HEADER = ",".join(CURVE_COLUMNS)
@@ -203,17 +203,17 @@ def run_single(cfg: RunConfig) -> int:
 
 def run_steady(cfg: RunConfig) -> int:
     """Long-time report of a Bell start, every field read from U(infinity)
-    (``steady_no_jump``) by the Bell reader (``bell_x_elements``)."""
+    by the Bell reader (``steady_bell_x_elements``)."""
     kind = BellKind(cfg.bell)
-    x = bell_x_elements(steady_no_jump(_params(cfg))[None], kind)
+    params = _params(cfg)
+    x = steady_bell_x_elements(params, kind)
     trace = float(x.trace[0])
     r11, r22, r33, r44, r14, r23 = (float(v[0]) / trace for v in x)
     ratio = ratio_published = None
     if kind is BellKind.PSI:
         denom = math.sqrt(max(r22, 0.0) * max(r33, 0.0))
         ratio = r14 / denom if denom > 1e-15 else None
-        eta2 = cfg.eta**2
-        ratio_published = 4.0 * (eta2 / (1.0 + eta2))
+        ratio_published = psi_ratio(params)
     # an X state, real at t = infinity (see bell_x_elements)
     rho = [[r11, 0.0, 0.0, r14], [0.0, r22, r23, 0.0], [0.0, r23, r33, 0.0], [r14, 0.0, 0.0, r44]]
     report = {
@@ -228,77 +228,12 @@ def run_steady(cfg: RunConfig) -> int:
     return 0
 
 
-# Times per chunk of the compare grid: keeps its stacked temporaries near
-# 0.6 MB at any --steps, where the whole grid at once grows without bound.
-COMPARE_CHUNK = 256
-
-# The audited elements of each report section, in report order.
-_COMPARE_SECTIONS = {
-    "excited": ("rho11", "rho33", "rho13"),
-    "superposition": ("rho11", "rho33", "rho13"),
-    "psi": ("rho14", "rho22", "rho33", "rho11_half_printed"),
-    "phi": ("rho23",),
-}
-
-
-def _compare_deviations(params: VParams, times: np.ndarray) -> np.ndarray:
-    """max |published - oracle| of each audited element over ``times``, in
-    _COMPARE_SECTIONS order.
-
-    One stack of no-jump propagators U over ``times``: both single-atom
-    starts are read from it by ``single_atom_states`` and both Bell pairs
-    by ``bell_x_elements``.
-    """
-    u = no_jump_propagators(params, times)
-    deviations = []
-    for rho0 in (excited_state(), superposition_state()):
-        pub = published_single_atom(params, rho0, times)
-        rho = single_atom_states(u, rho0)
-        deviations += [pub.rho11 - rho[:, 0, 0].real, pub.rho33 - rho[:, 2, 2].real,
-                       pub.rho13 - rho[:, 0, 2]]
-    psi = bell_x_elements(u, BellKind.PSI)
-    pub = published_pair_elements(params, BellKind.PSI, times)
-    deviations += [pub["rho14"] - psi.rho14_abs, pub["rho22"] - psi.rho22,
-                   pub["rho33"] - psi.rho33, pub["rho11"] / 2.0 - psi.rho11]
-    phi = bell_x_elements(u, BellKind.PHI)
-    pub = published_pair_elements(params, BellKind.PHI, times)
-    deviations.append(pub["rho23"] - phi.rho23_abs)
-    return np.abs(deviations).max(axis=1)
-
-
 def run_compare(cfg: RunConfig) -> int:
-    """Audit the published closed forms against the oracle evolution.
-
-    A reporting tool, not a gate: exits 0 regardless of deviation size.
-    The doubly-excited published element is known to be twice the
-    correct value at t = 0, so its deviation is measured against half
-    the printed form and the printed t = 0 value is flagged alongside.
-    The grid is read COMPARE_CHUNK times at a time.
-    """
+    """Audit the published closed forms against the oracle evolution: a
+    reporting tool, not a gate, that exits 0 regardless of deviation size."""
     params = _params(cfg)
     check_published(params)
-    times = _grid(cfg)
-    worst = np.max([_compare_deviations(params, times[i:i + COMPARE_CHUNK])
-                    for i in range(0, times.size, COMPARE_CHUNK)], axis=0)
-    values = iter(worst.tolist())
-    sections = {name: {key: next(values) for key in keys} for name, keys in _COMPARE_SECTIONS.items()}
-
-    oracle_inf = float(steady_state(params, excited_state())[0, 0].real)
-    published_inf = published_single_atom(params, excited_state(), math.inf).rho11
-
-    printed_t0 = published_pair_elements(params, BellKind.PSI, 0.0)["rho11"]
-    report = {
-        **_echo(cfg, "eta", "p", "gamma", "t_max", "steps"),
-        "single_atom": {
-            "excited": sections["excited"],
-            "superposition": sections["superposition"],
-            "rho11_infinity": {"published": published_inf, "oracle": oracle_inf,
-                               "deviation": abs(published_inf - oracle_inf)},
-        },
-        "pair_psi": {**sections["psi"], "rho11_printed_at_t0": printed_t0,
-                     "rho11_required_at_t0": 0.5},
-        "pair_phi": sections["phi"],
-    }
+    report = {**_echo(cfg, "eta", "p", "gamma", "t_max", "steps"), **audit(params, _grid(cfg))}
     _write(cfg, _json_dump(report))
     return 0
 

@@ -11,6 +11,8 @@ and lives in vicsim.oracles.
 
 Readers take a Bell kind or its string; the sudden-death search
 ``esd_time`` takes one start, a Bell kind or an explicit pair state.
+Method 'paper' hands a Bell start to the published closed forms, whose
+domain and readers are vicsim.published's.
 """
 
 from __future__ import annotations
@@ -18,18 +20,13 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .bipartite import (
-    BellKind,
-    bell_state,
-    bell_x_elements,
-    evolve_pair,
-    project_to_qubits,
-    published_pair_elements,
-)
-from .vsystem import VParams, check_published, no_jump_propagators, steady_no_jump
+from .bipartite import BellKind, bell_state, evolve_pair, project_to_qubits, steady_bell_x_elements
+from .published import check_published, paper_readout, paper_signed
+from .vsystem import VParams
 
 # Entries allowed to be nonzero in an X-shaped 4x4 state.
 _X_MASK = np.zeros((4, 4), dtype=bool)
@@ -39,7 +36,7 @@ _X_MASK[np.arange(4), np.arange(4)[::-1]] = True
 X_FORM_TOL = 1e-10
 
 # The routes of a curve or a sudden-death search: the evolved pair, or the
-# published closed forms (p = 1 only, ``vsystem.check_published``).
+# published closed forms (``published.check_published``).
 METHODS = ("oracle", "paper")
 
 
@@ -124,48 +121,9 @@ def _evolved_readout(params: VParams, rho0: np.ndarray,
                      gamma_ts: np.ndarray) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """Signed concurrence of the pair evolved from ``rho0`` at each of
     ``gamma_ts``, with the elements behind it, all arrays: the contract of
-    ``_paper_readout``, read one ``_signed_point`` per sample."""
+    ``published.paper_readout``, read one ``_signed_point`` per sample."""
     samples = np.array([_signed_point(params, rho0, gamma_t) for gamma_t in gamma_ts.tolist()])
     return samples[:, 0], dict(zip(CURVE_COLUMNS[2:], samples[:, 1:].T))
-
-
-def _paper_readout(params: VParams, kind: BellKind,
-                   gamma_ts: np.ndarray) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """Signed concurrence of the published elements at each of ``gamma_ts``,
-    with the elements behind it, all arrays (params in units of gamma).
-
-    The published forms are normalized by the projected trace, and phi's
-    rho22 and rho33 (never printed) are read, by ``bell_x_elements`` from
-    the stack of 2x2 no-jump propagators, with no pair evolution. No trace
-    is near zero: psi's is at least its rho44 >= 1/2, and phi's,
-    1 - |U21|^2, is at least 3/4 at p = 1, where |U21| <= eta / (1 + eta^2).
-    """
-    pair = bell_x_elements(no_jump_propagators(params, gamma_ts), kind)
-    trace = pair.trace
-    pub = published_pair_elements(params, kind, gamma_ts)
-    signed, elements = _published_branch(pub, kind, trace)
-    if kind is BellKind.PHI:
-        elements.update(rho22=pair.rho22 / trace, rho33=pair.rho33 / trace)
-    elements["pre_norm_trace"] = trace
-    return signed, elements
-
-
-def _published_branch(pub: dict, kind: BellKind, trace: float) -> tuple[float, dict]:
-    """Signed concurrence of the published elements divided by ``trace``.
-
-    Returns the value and the divided elements it was read from, scalars
-    or arrays as ``pub`` holds. The trace is positive, so ``trace = 1``
-    (the unnormalised elements) gives a value of the same sign.
-    """
-    if kind is BellKind.PSI:
-        rho14, rho22, rho33 = (pub[key] / trace for key in ("rho14", "rho22", "rho33"))
-        elements = {"rho14_abs": rho14, "rho23_abs": np.zeros_like(rho14), "rho22": rho22,
-                    "rho33": rho33}
-        return 2.0 * (rho14 - np.sqrt(np.maximum(rho22, 0.0) * np.maximum(rho33, 0.0))), elements
-    # The doubly-excited population is identically zero for this initial
-    # state, so the outer branch reduces to |rho23|.
-    rho23 = pub["rho23"] / trace
-    return 2.0 * rho23, {"rho14_abs": np.zeros_like(rho23), "rho23_abs": rho23}
 
 
 def _check_method(params: VParams, method: str) -> None:
@@ -180,17 +138,17 @@ def concurrence_curve(params: VParams, kind: BellKind | str, gamma_ts: np.ndarra
     """Concurrence of an evolving Bell state over a grid of gamma*t values.
 
     method 'oracle' evolves the pair and measures, one sample at a time.
-    method 'paper' evaluates the published closed-form elements (valid
-    for p = 1 only) over the whole grid at once, normalized by the trace
-    read from the 2x2 no-jump propagator (``_paper_readout``). Both compute
-    with ``params.in_units_of_gamma()``, at gamma*t itself.
+    method 'paper' evaluates the published closed-form elements, in their
+    domain only, over the whole grid at once, normalized by the trace read
+    from the 2x2 no-jump propagator (``published.paper_readout``). Both
+    compute with ``params.in_units_of_gamma()``, at gamma*t itself.
     """
     kind = BellKind(kind)
     grid = _validate_grid(gamma_ts)
     _check_method(params, method)
     params = params.in_units_of_gamma()
     if method == "paper":
-        signed, elements = _paper_readout(params, kind, grid)
+        signed, elements = paper_readout(params, kind, grid)
     else:
         signed, elements = _evolved_readout(params, bell_state(kind), grid)
     # clamps -0.0 and NaN to 0.0, as max(0.0, signed) does
@@ -200,9 +158,8 @@ def concurrence_curve(params: VParams, kind: BellKind | str, gamma_ts: np.ndarra
 
 def steady_concurrence(params: VParams, kind: BellKind | str) -> float:
     """Concurrence of the long-time projected Bell pair, read from U(infinity)
-    (``steady_no_jump``) by the Bell reader (``bell_x_elements``), with no
-    pair state. Raises NoConvergence where a decay-free level keeps rotating."""
-    x = bell_x_elements(steady_no_jump(params)[None], kind)
+    by the Bell reader (``steady_bell_x_elements``), with no pair state."""
+    x = steady_bell_x_elements(params, kind)
     return max(0.0, float(x.signed_concurrence[0]))
 
 
@@ -239,14 +196,12 @@ def esd_time(params: VParams, start: BellKind | str | np.ndarray, *,
     is otherwise asymptotically zero. An explicit start takes its limit
     from the scan's own readout of the evolved pair at gamma_t = infinity.
 
-    Otherwise the signed X-branch argument is scanned (see
-    ``_scan_for_death``). A Bell start under the published forms (method
-    'paper', p = 1 only) evolves nothing: its limit is the curve's readout
-    at the horizon, and its scan reads the published elements alone. The
-    scan of the evolved pair (``_evolved_readout``) serves an explicit
-    start, which the published forms do not cover, so it takes method
-    'oracle' only. Every time is gamma*t, read with
-    ``params.in_units_of_gamma()``.
+    Otherwise the signed X-branch argument is scanned (``_scan_for_death``).
+    A Bell start under method 'paper' evolves nothing: its limit is the
+    paper curve at the horizon, and its scan reads the published elements
+    alone (``published.paper_signed``). An explicit start, which the
+    published forms do not cover, takes method 'oracle' only. Every time
+    is gamma*t, read with ``params.in_units_of_gamma()``.
     """
     _check_method(params, method)
     params = params.in_units_of_gamma()
@@ -257,7 +212,7 @@ def esd_time(params: VParams, start: BellKind | str | np.ndarray, *,
         raise ValueError("published forms cover only the Bell starts: "
                          "an explicit start supports the oracle method only")
     if method == "paper":
-        limit = max(0.0, float(_paper_readout(params, kind, np.array([ESD_HORIZON]))[0][0]))
+        limit = max(0.0, float(paper_readout(params, kind, np.array([ESD_HORIZON]))[0][0]))
     elif bell_start:
         limit = steady_concurrence(params, kind)
     else:
@@ -273,15 +228,8 @@ def esd_time(params: VParams, start: BellKind | str | np.ndarray, *,
         # rounding noise.
         return EsdResult("asymptotic_zero")
     if method == "paper":
-        # The normalising trace is positive, so the unnormalised published
-        # branch has the sign of the normalised one that the curve reads.
-        def signed_at(gamma_t):
-            pub = published_pair_elements(params, kind, gamma_t)
-            return _published_branch(pub, kind, 1.0)[0]
-    else:
-        def signed_at(gamma_t):
-            return _evolved_readout(params, start, np.atleast_1d(gamma_t))[0]
-    return _scan_for_death(signed_at)
+        return _scan_for_death(partial(paper_signed, params, kind))
+    return _scan_for_death(lambda t: _evolved_readout(params, start, np.atleast_1d(t))[0])
 
 
 def _scan_for_death(signed_at: Callable) -> EsdResult:

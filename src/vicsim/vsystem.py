@@ -31,7 +31,8 @@ Gamma is singular only at p = 1 or eta = 0. At p = 1 its kernel, the
 dark superposition (eta|1> - |2>)/sqrt(1 + eta^2), is decoupled from
 the reservoir and traps population, while the orthogonal bright one
 decays at 2*gamma*(1 + eta^2). The exponentiated Liouvillian and
-fixed-step RK4 that cross-check this closed form live in vicsim.oracles.
+fixed-step RK4 that cross-check this closed form live in vicsim.oracles,
+the paper's printed closed forms for that case in vicsim.published.
 
 Density matrices are plain complex 3x3 ndarrays; channels are 9x9
 matrices acting on row-major vectorized states, vec(rho)[3*i + j] =
@@ -43,22 +44,10 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 EXCITED, UMBRELLA, GROUND = 0, 1, 2
-
-
-class UnsupportedParams(ValueError):
-    """Parameters outside the validity domain of the published closed forms."""
-
-
-def check_published(params: VParams) -> None:
-    """Raise UnsupportedParams outside the domain of the published closed
-    forms: maximal interference, p = 1."""
-    if params.p != 1.0:
-        raise UnsupportedParams("published closed forms require p = 1")
 
 
 class NoConvergence(ValueError):
@@ -365,58 +354,3 @@ def steady_state(params: VParams, rho0: np.ndarray) -> np.ndarray:
     U(infinity) by ``single_atom_states``."""
     rho0 = np.asarray(rho0, dtype=complex)
     return single_atom_states(steady_no_jump(params, rho0)[None], rho0)[0]
-
-
-def alpha_beta(rho0: np.ndarray) -> tuple[float, float]:
-    """Symmetric/antisymmetric excited-population weights of the closed forms.
-
-    alpha + beta equals the initial total excited population.
-    """
-    rho0 = np.asarray(rho0, dtype=complex)
-    alpha = 0.5 * (rho0[0, 0] + rho0[1, 1] + rho0[0, 1] + rho0[1, 0]).real
-    beta = 0.5 * (rho0[0, 0] + rho0[1, 1] - rho0[0, 1] - rho0[1, 0]).real
-    return alpha, beta
-
-
-class PublishedSingleAtom(NamedTuple):
-    """The three single-atom matrix elements given in closed form: numpy
-    scalars for one time, arrays for an array of times."""
-
-    rho11: float | np.ndarray
-    rho33: float | np.ndarray
-    rho13: complex | np.ndarray
-
-
-def _bright_decay(params: VParams, t: float | np.ndarray) -> float | np.ndarray:
-    """x = exp(-bright_rate t) of the published forms, at a time or an array
-    of times, each non-negative: t = math.inf gives 0."""
-    _check_time(t if isinstance(t, float) else np.min(t, initial=0.0))  # NaN if any is NaN
-    with np.errstate(over="ignore"):  # rate * t overflows to inf, whose exp(-inf) = 0 is right
-        return np.exp(-params.bright_rate * t)
-
-
-def published_single_atom(params: VParams, rho0: np.ndarray,
-                          t: float | np.ndarray) -> PublishedSingleAtom:
-    """Evaluate the published single-atom closed forms verbatim at t, a time
-    or an array of times.
-
-    Transcription-faithful: the expressions are reproduced exactly as
-    printed for the maximal-interference, degenerate case, with no
-    correction applied. They close on the master equation only at
-    eta = 1; deviations elsewhere are surfaced by the compare tooling,
-    never hidden.
-    """
-    rho0 = np.asarray(rho0, dtype=complex)
-    eta2 = params.eta**2
-    x = _bright_decay(params, t)
-    x2 = x * x
-    al, be = alpha_beta(rho0)
-    rho11 = (
-        0.5 * x * (rho0[0, 0] - rho0[1, 1]).real
-        + 0.5 * (2.0 / (1.0 + eta2) * x2 - (1.0 - eta2) / (1.0 + eta2) * x) * al
-        + 0.5 * (2.0 * (eta2 / (1.0 + eta2)) - (1.0 - eta2) / (1.0 + eta2) * x) * be
-    )
-    rho33 = 1.0 - x2 * al - be
-    rho13 = ((eta2 + x) * rho0[0, 2] - params.eta * (1.0 - x) * rho0[1, 2]) / (1.0 + eta2)
-    return PublishedSingleAtom(rho11, rho33, rho13)
-

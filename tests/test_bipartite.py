@@ -11,10 +11,10 @@ from vicsim.bipartite import (
     evolve_pair,
     product_state,
     project_to_qubits,
-    published_pair_elements,
     qubit_block,
 )
 from vicsim.oracles import evolve_pair_joint, joint_liouvillian, rk4_evolve
+from vicsim.published import published_pair_elements
 from vicsim.vsystem import VParams, hermitize, propagate_channel
 from util import einsum_pair_map, max_abs, random_density
 
@@ -44,9 +44,9 @@ def test_bell_is_normalized_and_pure(kind):
     assert abs(np.trace(rho @ rho) - 1.0) <= 1e-15
 
 
-@pytest.mark.parametrize("levels", [(-1, 0), (0, 3), (3, 0)], ids=repr)
+@pytest.mark.parametrize("levels", [(-1, 0), (0, 3), (3, 0), (1.0, 0)], ids=repr)
 def test_product_state_rejects_levels_outside_the_atom(levels):
-    bad = next(level for level in levels if level not in (0, 1, 2))
+    bad = next(level for level in levels if type(level) is not int or level not in (0, 1, 2))
     with pytest.raises(ValueError, match=f"level must be 0, 1 or 2, got {bad}"):
         product_state(*levels)
 

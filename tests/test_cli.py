@@ -19,17 +19,16 @@ from vicsim.bipartite import (
     bell_state,
     evolve_pair,
     project_to_qubits,
-    published_pair_elements,
     qubit_block,
 )
-from vicsim.cli import COMMANDS, COMPARE_CHUNK, OPTIONS, main
+from vicsim.cli import COMMANDS, OPTIONS, main
 from vicsim.entanglement import EsdResult, concurrence_x
+from vicsim.published import COMPARE_CHUNK, published_pair_elements, published_single_atom
 from vicsim.vsystem import (
     VParams,
     apply_channel,
     excited_state,
     propagate_channel,
-    published_single_atom,
     superposition_state,
 )
 from util import without_gamma_echo
@@ -516,7 +515,7 @@ def test_esd_product_state_rejects_paper_method(capsys):
 @pytest.mark.parametrize("args", [("curve", "--method", "paper"), ("esd", "--method", "paper"),
                                   ("compare",)], ids=" ".join)
 def test_the_published_domain_is_stated_once(capsys, args):
-    # vsystem.check_published is the one statement of p = 1, for every command form
+    # published.check_published is the one statement of p = 1, for every command form
     code, out, err = run_cli(capsys, *args, "--p", "0.5")
     assert (code, out, err) == (2, "", "error: published closed forms require p = 1\n")
 
@@ -739,7 +738,7 @@ def test_parser_reused_across_calls_matches_fresh_processes(tmp_path, capsys):
 
 
 RUNTIME_MODULES = ("vicsim", "vicsim.cli", "vicsim.vsystem", "vicsim.bipartite",
-                   "vicsim.entanglement")
+                   "vicsim.entanglement", "vicsim.published")
 
 
 def test_cli_import_leaves_scipy_out():
@@ -758,3 +757,17 @@ def test_cli_import_leaves_scipy_out():
     import vicsim.oracles  # noqa: F401  (the oracles still import, scipy and all)
 
     assert importlib.util.find_spec("vicsim.qlinalg") is None
+
+
+def test_only_the_published_module_knows_the_printed_forms():
+    # loaded without the package's re-exports, the oracle dynamics leave
+    # vicsim.published out, and the CLI binds no printed form
+    probe = ("import sys, types; package = types.ModuleType('vicsim'); "
+             f"package.__path__ = {list(vicsim.__path__)!r}; sys.modules['vicsim'] = package; "
+             "import vicsim.vsystem, vicsim.bipartite; "
+             "print(sorted(name for name in sys.modules if name.startswith('vicsim')))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "['vicsim', 'vicsim.bipartite', 'vicsim.vsystem']"
+    assert [name for name in vars(vicsim.cli) if name.startswith("published_")] == []

@@ -16,7 +16,6 @@ from vicsim.bipartite import (
     evolve_pair,
     product_state,
     project_to_qubits,
-    published_pair_elements,
 )
 from vicsim.cli import main
 from vicsim.entanglement import (
@@ -25,7 +24,6 @@ from vicsim.entanglement import (
     ESD_THRESHOLD,
     EsdResult,
     NotXForm,
-    _published_branch,
     _scan_for_death,
     _signed_point,
     concurrence_curve,
@@ -35,7 +33,8 @@ from vicsim.entanglement import (
     x_branch_values,
 )
 from vicsim.oracles import NotAState, concurrence_wootters
-from vicsim.vsystem import UnsupportedParams, VParams, no_jump_propagators, propagate_channel
+from vicsim.published import UnsupportedParams, _branch, published_pair_elements
+from vicsim.vsystem import VParams, no_jump_propagators, propagate_channel
 from util import random_density, random_unitary, random_x_state
 
 SQRT2 = math.sqrt(2.0)
@@ -171,6 +170,31 @@ def test_curve_published_mode_requires_full_interference():
         concurrence_curve(VParams(p=0.5), BellKind.PSI, np.array([0.0, 1.0]), method="paper")
 
 
+def test_published_modes_require_degenerate_upper_levels():
+    # the printed forms know no level splitting: at omega1 = -omega2 = 2 they
+    # would read a psi limit of 0.125 where the oracle decays to 0
+    split = VParams(omega1=2.0, omega2=-2.0)
+    with pytest.raises(UnsupportedParams, match="^published closed forms require omega1 = omega2$"):
+        concurrence_curve(split, BellKind.PSI, np.array([0.0, 5.0, 40.0]), method="paper")
+    with pytest.raises(UnsupportedParams, match="omega1 = omega2"):
+        esd_time(split, BellKind.PSI, method="paper")
+    # p is checked first, and its message stays
+    with pytest.raises(UnsupportedParams, match="^published closed forms require p = 1$"):
+        esd_time(VParams(p=0.5, omega1=2.0, omega2=-2.0), BellKind.PHI, method="paper")
+
+
+@pytest.mark.parametrize("kind", list(BellKind))
+@pytest.mark.parametrize("eta", [0.3, 1.0, SQRT2, 3.0])
+def test_paper_curve_at_a_common_frequency_is_the_rotating_frame_curve(kind, eta):
+    # a common frequency omega1 = omega2 is a choice of frame, so it stays valid
+    grid = np.linspace(0.0, 12.0, 49)
+    want = concurrence_curve(VParams(eta=eta), kind, grid, method="paper")
+    for omega in (0.7, -3.0):
+        got = concurrence_curve(VParams(eta=eta, omega1=omega, omega2=omega), kind, grid, "paper")
+        for name in CURVE_COLUMNS:
+            assert np.max(np.abs(getattr(got, name) - getattr(want, name))) <= 1e-15, name
+
+
 # ------------------------------------------------------------- steady values
 
 def test_steady_concurrence_reference_points():
@@ -217,6 +241,32 @@ def test_steady_concurrence_equals_the_exact_form(kind):
             for got in (steady_concurrence(VParams(eta=eta), kind),
                         json.loads(out.getvalue())["concurrence_infinity"]):
                 assert abs(Fraction(got) - want) <= Fraction(2e-15) * want, (n, d, got)
+
+
+# Decay-free levels that keep rotating: a common frequency at p = 1, and the
+# umbrella level at eta = 0 with split levels. U(t) has no limit there, but
+# the Bell block, read from |U11|^2 and |U21|^2 alone, has.
+ROTATING_SURVIVORS = {
+    "p1-common-omega": (VParams(eta=1.0, p=1.0, omega1=0.7, omega2=0.7),
+                        {BellKind.PSI: 0.16, BellKind.PHI: 1.0 / 3.0}),
+    "eta0-split-omega": (VParams(eta=0.0, omega1=0.5, omega2=-0.5),
+                         {BellKind.PSI: 0.0, BellKind.PHI: 0.0}),
+}
+
+
+@pytest.mark.parametrize("kind", list(BellKind))
+@pytest.mark.parametrize("case", list(ROTATING_SURVIVORS))
+def test_a_rotating_survivor_leaves_the_bell_limit_defined(case, kind):
+    params, limits = ROTATING_SURVIVORS[case]
+    late = concurrence_curve(params, kind, np.array([0.0, 40.0])).concurrence[-1]
+    got = steady_concurrence(params, kind)
+    assert abs(got - late) <= 1e-12 and abs(got - limits[kind]) <= 1e-12
+    result = esd_time(params, kind)
+    if limits[kind] > 0.0:
+        assert result.kind == "asymptotic_positive"
+        assert abs(result.concurrence_limit - limits[kind]) <= 1e-12
+    else:
+        assert result == EsdResult("asymptotic_zero")
 
 
 # eta at which the long-time concurrence is one half: phi's from
@@ -319,7 +369,7 @@ def _evolved_paper_point(params, kind, gamma_t):
     rho, trace = projected.rho, projected.pre_norm_trace
     elements = {"rho14_abs": abs(rho[0, 3]), "rho23_abs": abs(rho[1, 2]),
                 "rho22": rho[1, 1].real, "rho33": rho[2, 2].real, "pre_norm_trace": trace}
-    signed, published = _published_branch(published_pair_elements(params, kind, t), kind, trace)
+    signed, published = _branch(published_pair_elements(params, kind, t), kind, trace)
     elements.update(published)
     return signed, elements
 

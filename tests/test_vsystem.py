@@ -4,7 +4,6 @@ import math
 import numpy as np
 import pytest
 
-from vicsim.bipartite import published_pair_elements
 from vicsim.oracles import (
     StepTooLarge,
     build_liouvillian,
@@ -13,12 +12,12 @@ from vicsim.oracles import (
     propagate_spectral,
     rk4_evolve,
 )
+from vicsim.published import published_pair_elements, published_single_atom
 from vicsim.vsystem import (
     UMBRELLA,
     NoConvergence,
     VParams,
     _no_jump_propagator,
-    alpha_beta,
     apply_channel,
     basis_ket,
     dark_vector,
@@ -26,7 +25,6 @@ from vicsim.vsystem import (
     ground_state,
     no_jump_propagators,
     propagate_channel,
-    published_single_atom,
     pure_state,
     steady_state,
     superposition_state,
@@ -394,9 +392,10 @@ def test_oracle_triangle_quick():
 # ---------------------------------------------------------------- closed forms
 
 def test_alpha_beta_sum_rule():
+    # alpha + beta is the initial excited population: rho33(0) = 1 - alpha - beta
     for rho0 in sample_states():
-        al, be = alpha_beta(rho0)
-        assert abs((al + be) - (rho0[0, 0] + rho0[1, 1]).real) <= 1e-12
+        pub = published_single_atom(VParams(), rho0, 0.0)
+        assert abs(pub.rho33 - rho0[2, 2].real) <= 1e-12
 
 
 def test_published_trapped_population_at_unit_eta():
