@@ -34,8 +34,8 @@ from .vsystem import (
 )
 from .bipartite import (
     BellKind,
-    BellXElements,
     TwoQubitState,
+    XElements,
     ZeroTrace,
     apply_pair_channel,
     bell_state,
@@ -44,6 +44,7 @@ from .bipartite import (
     product_state,
     project_to_qubits,
     qubit_block,
+    signed_x_concurrence,
 )
 from .published import (
     PublishedSingleAtom,
@@ -60,7 +61,6 @@ from .entanglement import (
     concurrence_x,
     esd_time,
     steady_concurrence,
-    x_branch_values,
 )
 
 __version__ = "0.1.0"

@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .vsystem import VParams, excited_state, hermitize, propagate_channel, steady_no_jump
+from .vsystem import VParams, hermitize, propagate_channel, steady_no_jump
 
 PAIR_DIM = 9
 # Pair-space indices of |1A1B>, |1A3B>, |3A1B>, |3A3B>, in that basis order.
@@ -134,10 +134,18 @@ def project_to_qubits(rho_pair: np.ndarray) -> TwoQubitState:
     return TwoQubitState(rho=rho, pre_norm_trace=trace)
 
 
-class BellXElements(NamedTuple):
-    """Unnormalized X elements of an evolved, projected Bell pair, arrays
-    over the times. The live antidiagonal magnitude is |rho14| for psi and
-    |rho23| for phi; the other is zero."""
+def signed_x_concurrence(rho11, rho22, rho33, rho44, rho14_abs, rho23_abs):
+    """2 max(|rho14| - sqrt(rho22 rho33), |rho23| - sqrt(rho11 rho44)) of a
+    normalized X block, each diagonal entry taken as at least 0: the
+    concurrence where positive. Floats or arrays; the one X formula."""
+    r11, r22, r33, r44 = np.maximum((rho11, rho22, rho33, rho44), 0.0)
+    return 2.0 * np.maximum(rho14_abs - np.sqrt(r22 * r33), rho23_abs - np.sqrt(r11 * r44))
+
+
+class XElements(NamedTuple):
+    """The diagonal and antidiagonal magnitudes of an X-shaped qubit block,
+    floats or arrays over the times. The Bell reader's are unnormalized, its
+    live antidiagonal |rho14| for psi and |rho23| for phi, the other zero."""
 
     rho11: np.ndarray
     rho22: np.ndarray
@@ -153,13 +161,11 @@ class BellXElements(NamedTuple):
 
     @property
     def signed_concurrence(self) -> np.ndarray:
-        """2 max(|rho14| - sqrt(rho22 rho33), |rho23| - sqrt(rho11 rho44)) of
-        the normalized block: the concurrence where positive."""
-        r11, r22, r33, r44, r14, r23 = np.divide(self, self.trace)
-        return 2.0 * np.maximum(r14 - np.sqrt(r22 * r33), r23 - np.sqrt(r11 * r44))
+        """``signed_x_concurrence`` of the block normalized by its trace."""
+        return signed_x_concurrence(*np.divide(self, self.trace))
 
 
-def bell_x_elements(u: np.ndarray, kind: BellKind | str) -> BellXElements:
+def bell_x_elements(u: np.ndarray, kind: BellKind | str) -> XElements:
     """The qubit block of a Bell pair of identical atoms at each U of a
     (T, 2, 2) stack of no-jump propagators, with no pair evolution.
 
@@ -184,15 +190,11 @@ def bell_x_elements(u: np.ndarray, kind: BellKind | str) -> BellXElements:
     zero = np.zeros_like(s)
     if _is_psi(kind):
         side = half_s * loss
-        return BellXElements(half_s * s, side, side, 0.5 * (1.0 + loss * loss), half_s, zero)
-    return BellXElements(zero, half_s, half_s, loss, zero, half_s)
+        return XElements(half_s * s, side, side, 0.5 * (1.0 + loss * loss), half_s, zero)
+    return XElements(zero, half_s, half_s, loss, zero, half_s)
 
 
-_EXCITED = excited_state()  # an atom in |1> has no coherence with the ground level
-
-
-def steady_bell_x_elements(params: VParams, kind: BellKind | str) -> BellXElements:
-    """``bell_x_elements`` at t = infinity. It reads only |U11|^2 and |U21|^2,
-    whose limits exist even where a decay-free level keeps rotating (U(t)
-    tends to a phase times the projector): U(infinity) of an atom in |1>."""
-    return bell_x_elements(steady_no_jump(params, _EXCITED)[None], kind)
+def steady_bell_x_elements(params: VParams, kind: BellKind | str) -> XElements:
+    """``bell_x_elements`` at t = infinity: U(infinity) in the decay-free
+    frame, which exists even where a decay-free level keeps rotating."""
+    return bell_x_elements(steady_no_jump(params.in_decay_free_frame())[None], kind)

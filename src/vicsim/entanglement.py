@@ -1,13 +1,9 @@
 """Concurrence of the projected qubit pair and its time dependence.
 
-The concurrence is read in closed form for X-shaped states
-
-    C = 2 max{0, |rho14| - sqrt(rho22 rho33), |rho23| - sqrt(rho11 rho44)}.
-
-Both Bell initial states evolve inside the X family here, so this
-readout applies along every curve. The general spin-flip construction
-(Wootters), the authority it is checked against, is the second route
-and lives in vicsim.oracles.
+The concurrence of an X-shaped state is read in closed form, by the one
+X formula ``bipartite.signed_x_concurrence``. Both Bell initial states
+evolve inside the X family, so it applies along every curve; the general
+spin-flip (Wootters) construction it is checked against is in vicsim.oracles.
 
 Readers take a Bell kind or its string; the sudden-death search
 ``esd_time`` takes one start, a Bell kind or an explicit pair state.
@@ -24,7 +20,10 @@ from functools import partial
 
 import numpy as np
 
-from .bipartite import BellKind, bell_state, evolve_pair, project_to_qubits, steady_bell_x_elements
+from .bipartite import (
+    BellKind, XElements, bell_state, evolve_pair, project_to_qubits, signed_x_concurrence,
+    steady_bell_x_elements,
+)
 from .published import check_published, paper_readout, paper_signed
 from .vsystem import VParams
 
@@ -44,29 +43,20 @@ class NotXForm(ValueError):
     """Input has weight outside the diagonal/antidiagonal X pattern."""
 
 
-def x_branch_values(rho: np.ndarray) -> tuple[float, float]:
-    """The two signed branch arguments of the X-state concurrence."""
-    diag = np.clip(rho.diagonal().real, 0.0, None)
-    inner = abs(rho[0, 3]) - math.sqrt(diag[1] * diag[2])
-    outer = abs(rho[1, 2]) - math.sqrt(diag[0] * diag[3])
-    return float(inner), float(outer)
-
-
-def _check_x_form(rho: np.ndarray) -> np.ndarray:
+def _x_elements(rho: np.ndarray) -> XElements:
+    """The X elements of a 4x4 state as floats; NotXForm if not X-shaped."""
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise NotXForm(f"expected a 4x4 matrix, got shape {rho.shape}")
     worst = float(np.max(np.abs(rho[~_X_MASK])))
     if worst > X_FORM_TOL:
         raise NotXForm(f"non-X entry of magnitude {worst:.3e}")
-    return rho
+    return XElements(*rho.diagonal().real.tolist(), float(abs(rho[0, 3])), float(abs(rho[1, 2])))
 
 
 def concurrence_x(rho: np.ndarray) -> float:
     """Closed-form concurrence for X-shaped states (both branches)."""
-    rho = _check_x_form(rho)
-    inner, outer = x_branch_values(rho)
-    return 2.0 * max(0.0, inner, outer)
+    return max(0.0, float(signed_x_concurrence(*_x_elements(rho))))
 
 
 # The columns of a ConcurrenceCurve, in CSV order.
@@ -95,26 +85,26 @@ class ConcurrenceCurve:
 
 def _validate_grid(gamma_ts: np.ndarray) -> np.ndarray:
     grid = np.asarray(gamma_ts, dtype=float)
+    if grid.ndim != 1:
+        raise ValueError(f"time grid must be one-dimensional, got shape {grid.shape}")
     if grid.size == 0:
         raise ValueError("time grid is empty")
     if grid[0] < 0:
         raise ValueError("time grid must start at gamma*t >= 0")
-    if grid.size > 1 and not np.all(np.diff(grid) > 0):
+    if not np.all(grid[1:] > grid[:-1]):  # no difference: inf - inf would warn
         raise ValueError("time grid must be strictly increasing")
     return grid
 
 
 def _signed_point(params: VParams, rho0: np.ndarray,
                   gamma_t: float) -> tuple[float, float, float, float, float, float]:
-    """Signed concurrence 2 max(X branches) of the evolved, projected state
-    (checked to be X-shaped) at gamma_t (params in units of gamma; math.inf
-    reads the limit), then |rho14|, |rho23|, rho22 and rho33 of that state
-    and its pre-normalization trace, all floats."""
+    """Signed X concurrence of the evolved, projected state at gamma_t (math.inf
+    reads the limit), then its |rho14|, |rho23|, rho22, rho33 and
+    pre-normalization trace, all floats."""
     projected = project_to_qubits(evolve_pair(params, params, rho0, gamma_t))
-    rho = _check_x_form(projected.rho)
-    inner, outer = x_branch_values(rho)
-    return (2.0 * max(inner, outer), float(abs(rho[0, 3])), float(abs(rho[1, 2])),
-            float(rho[1, 1].real), float(rho[2, 2].real), projected.pre_norm_trace)
+    x = _x_elements(projected.rho)
+    return (float(signed_x_concurrence(*x)), x.rho14_abs, x.rho23_abs, x.rho22, x.rho33,
+            projected.pre_norm_trace)
 
 
 def _evolved_readout(params: VParams, rho0: np.ndarray,
@@ -141,12 +131,13 @@ def concurrence_curve(params: VParams, kind: BellKind | str, gamma_ts: np.ndarra
     method 'paper' evaluates the published closed-form elements, in their
     domain only, over the whole grid at once, normalized by the trace read
     from the 2x2 no-jump propagator (``published.paper_readout``). Both
-    compute with ``params.in_units_of_gamma()``, at gamma*t itself.
+    compute with ``params.in_units_of_gamma().in_decay_free_frame()``, at
+    gamma*t itself, so a grid may end at math.inf.
     """
     kind = BellKind(kind)
     grid = _validate_grid(gamma_ts)
     _check_method(params, method)
-    params = params.in_units_of_gamma()
+    params = params.in_units_of_gamma().in_decay_free_frame()
     if method == "paper":
         signed, elements = paper_readout(params, kind, grid)
     else:
@@ -201,10 +192,10 @@ def esd_time(params: VParams, start: BellKind | str | np.ndarray, *,
     paper curve at the horizon, and its scan reads the published elements
     alone (``published.paper_signed``). An explicit start, which the
     published forms do not cover, takes method 'oracle' only. Every time
-    is gamma*t, read with ``params.in_units_of_gamma()``.
+    is gamma*t, read with ``params.in_units_of_gamma().in_decay_free_frame()``.
     """
     _check_method(params, method)
-    params = params.in_units_of_gamma()
+    params = params.in_units_of_gamma().in_decay_free_frame()
     bell_start = isinstance(start, str)  # a BellKind is a str
     if bell_start:
         kind = BellKind(start)

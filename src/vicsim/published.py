@@ -160,38 +160,32 @@ def _branch(pub: dict, kind: BellKind, trace: float) -> tuple[float, dict]:
 # 0.6 MB at any --steps, where the whole grid at once grows without bound.
 COMPARE_CHUNK = 256
 
-# The audited elements of each report section, in report order.
-_COMPARE_SECTIONS = {
-    "excited": ("rho11", "rho33", "rho13"),
-    "superposition": ("rho11", "rho33", "rho13"),
-    "psi": ("rho14", "rho22", "rho33", "rho11_half_printed"),
-    "phi": ("rho23",),
-}
 
-
-def _compare_deviations(params: VParams, times: np.ndarray) -> np.ndarray:
-    """max |published - oracle| of each audited element over ``times``, in
-    _COMPARE_SECTIONS order.
+def _compare_deviations(params: VParams, times: np.ndarray) -> dict[str, dict[str, float]]:
+    """max |published - oracle| of each audited element over ``times``, by
+    report section and element, in report order.
 
     One stack of no-jump propagators U over ``times``: both single-atom
     starts are read from it by ``single_atom_states`` and both Bell pairs
     by ``bell_x_elements``.
     """
     u = no_jump_propagators(params, times)
-    deviations = []
-    for rho0 in (excited_state(), superposition_state()):
+    sections = {}
+    for name, rho0 in (("excited", excited_state()), ("superposition", superposition_state())):
         pub = published_single_atom(params, rho0, times)
         rho = single_atom_states(u, rho0)
-        deviations += [pub.rho11 - rho[:, 0, 0].real, pub.rho33 - rho[:, 2, 2].real,
-                       pub.rho13 - rho[:, 0, 2]]
+        sections[name] = {"rho11": pub.rho11 - rho[:, 0, 0].real,
+                          "rho33": pub.rho33 - rho[:, 2, 2].real, "rho13": pub.rho13 - rho[:, 0, 2]}
     psi = bell_x_elements(u, BellKind.PSI)
     pub = published_pair_elements(params, BellKind.PSI, times)
-    deviations += [pub["rho14"] - psi.rho14_abs, pub["rho22"] - psi.rho22,
-                   pub["rho33"] - psi.rho33, pub["rho11"] / 2.0 - psi.rho11]
+    sections["psi"] = {"rho14": pub["rho14"] - psi.rho14_abs, "rho22": pub["rho22"] - psi.rho22,
+                       "rho33": pub["rho33"] - psi.rho33,
+                       "rho11_half_printed": pub["rho11"] / 2.0 - psi.rho11}
     phi = bell_x_elements(u, BellKind.PHI)
     pub = published_pair_elements(params, BellKind.PHI, times)
-    deviations.append(pub["rho23"] - phi.rho23_abs)
-    return np.abs(deviations).max(axis=1)
+    sections["phi"] = {"rho23": pub["rho23"] - phi.rho23_abs}
+    return {name: {key: float(np.abs(deviation).max()) for key, deviation in section.items()}
+            for name, section in sections.items()}
 
 
 def audit(params: VParams, times: np.ndarray) -> dict:
@@ -202,10 +196,10 @@ def audit(params: VParams, times: np.ndarray) -> dict:
     correct value at t = 0, so its deviation is measured against half
     the printed form and the printed t = 0 value is flagged alongside.
     """
-    worst = np.max([_compare_deviations(params, times[i:i + COMPARE_CHUNK])
-                    for i in range(0, times.size, COMPARE_CHUNK)], axis=0)
-    values = iter(worst.tolist())
-    sections = {name: {key: next(values) for key in keys} for name, keys in _COMPARE_SECTIONS.items()}
+    chunks = [_compare_deviations(params, times[i:i + COMPARE_CHUNK])
+              for i in range(0, times.size, COMPARE_CHUNK)]
+    sections = {name: {key: float(np.max([chunk[name][key] for chunk in chunks])) for key in keys}
+                for name, keys in chunks[0].items()}
     oracle_inf = float(steady_state(params, excited_state())[0, 0].real)
     published_inf = published_single_atom(params, excited_state(), math.inf).rho11
     printed_t0 = published_pair_elements(params, BellKind.PSI, 0.0)["rho11"]

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -109,6 +109,16 @@ class VParams:
         its propagator at gamma*t is this atom's at t."""
         return VParams(eta=self.eta, p=self.p, omega1=self.omega1 / self.gamma,
                        omega2=self.omega2 / self.gamma)
+
+    def in_decay_free_frame(self) -> VParams:
+        """The same atom with its decay-free excited direction, if any, at
+        frequency 0: a local unitary, as jumps feed only the ground level, so
+        populations, coherence magnitudes and the concurrence are unchanged
+        and have a t = infinity limit."""
+        if not _decay_free_omega(self):  # none, or at frequency 0 already
+            return self
+        # at eta = 0 the decay-free level is the decoupled umbrella: omega1 stays
+        return replace(self, omega1=self.omega1 if self.eta == 0.0 else 0.0, omega2=0.0)
 
 
 def basis_ket(i: int) -> np.ndarray:
@@ -295,34 +305,34 @@ def apply_channel(channel: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return hermitize((channel @ rho.reshape(-1)).reshape(dim, dim))
 
 
-def steady_no_jump(params: VParams, rho0: np.ndarray | None = None) -> np.ndarray:
-    """U(infinity), the 2x2 no-jump propagator in the long-time limit.
+def _decay_free_omega(params: VParams) -> float | None:
+    """The frequency of the excited direction that never decays, or None:
+    one exists where Gamma is singular (det Gamma = gamma^2 eta^2 (1 - p)
+    (1 + p) = 0, exactly when eta (1 - p) = 0) and its kernel (eta, -1) is an
+    eigenvector of diag(omega1, omega2) (exactly when eta = 0 or omega1 = omega2)."""
+    if params.eta * (1.0 - params.p) != 0.0:
+        return None
+    if params.eta == 0.0:
+        return params.omega2
+    return params.omega1 if params.omega1 == params.omega2 else None
 
-    U(infinity) projects onto the excited direction that never decays:
-    the kernel of Gamma, when Gamma is singular (eta = 0 or maximal
-    interference) and the kernel is also an eigenvector of the level
-    frequencies; otherwise it is zero. Both are decided from the
-    parameters, not from a numerically computed eigenvalue. A survivor
-    with nonzero frequency keeps rotating against the ground level, so
-    the limit does not exist (NoConvergence): without rho0 always, with
-    rho0 only when rho0 carries coherence between the survivor and the
-    ground level.
-    """
-    # det(Gamma) = gamma^2 eta^2 (1 - p)(1 + p) is zero exactly when eta (1 - p)
-    # is; the kernel (eta, -1) is an eigenvector of diag(omega1, omega2)
-    # exactly when eta = 0 or omega1 = omega2.
-    singular = params.eta * (1.0 - params.p) == 0.0
-    if not (singular and (params.eta == 0.0 or params.omega1 == params.omega2)):
+
+def steady_no_jump(params: VParams) -> np.ndarray:
+    """U(infinity), the 2x2 no-jump propagator in the long-time limit: the
+    projector onto the excited direction that never decays, or zero where
+    none does. Where that direction has a frequency, U(t) only tends to a
+    phase times the projector: NoConvergence, but not in the decay-free frame."""
+    omega = _decay_free_omega(params)
+    if omega is None:
         return np.zeros((2, 2), dtype=complex)
-    # the projector onto the kernel (eta, -1), divided by its squared norm
-    # once, so that no square root rounds its entries
-    kernel = np.array([params.eta, -1.0], dtype=complex)
-    omega = params.omega2 if params.eta == 0.0 else params.omega1
-    if omega != 0.0 and (rho0 is None or kernel @ rho0[:2, GROUND] != 0.0):
+    if omega != 0.0:
         raise NoConvergence(
             f"a decay-free level keeps rotating at omega = {omega}; "
             "there is no long-time limit"
         )
+    # the projector onto the kernel (eta, -1), divided by its squared norm
+    # once, so that no square root rounds its entries
+    kernel = np.array([params.eta, -1.0], dtype=complex)
     return np.outer(kernel, kernel) / (1.0 + params.eta**2)
 
 
@@ -351,6 +361,8 @@ def steady_state(params: VParams, rho0: np.ndarray) -> np.ndarray:
     """Long-time limit of rho0: its weight on the decay-free excited
     direction (if any) and that direction's coherence with the ground
     level survive, everything else ends on the ground level. Read from
-    U(infinity) by ``single_atom_states``."""
+    U(infinity) in the decay-free frame; only that coherence rotates."""
     rho0 = np.asarray(rho0, dtype=complex)
-    return single_atom_states(steady_no_jump(params, rho0)[None], rho0)[0]
+    if np.array([params.eta, -1.0]) @ rho0[:2, GROUND] != 0.0:
+        steady_no_jump(params)  # raises where the decay-free direction rotates
+    return single_atom_states(steady_no_jump(params.in_decay_free_frame())[None], rho0)[0]

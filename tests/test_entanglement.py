@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -16,21 +17,23 @@ from vicsim.bipartite import (
     evolve_pair,
     product_state,
     project_to_qubits,
+    signed_x_concurrence,
 )
 from vicsim.cli import main
 from vicsim.entanglement import (
     CURVE_COLUMNS,
     ESD_HORIZON,
     ESD_THRESHOLD,
+    METHODS,
     EsdResult,
     NotXForm,
     _scan_for_death,
     _signed_point,
+    _x_elements,
     concurrence_curve,
     concurrence_x,
     esd_time,
     steady_concurrence,
-    x_branch_values,
 )
 from vicsim.oracles import NotAState, concurrence_wootters
 from vicsim.published import UnsupportedParams, _branch, published_pair_elements
@@ -112,7 +115,10 @@ def test_x_agrees_with_wootters_on_random_x_states():
 
 
 def test_branch_values_signs():
-    inner, outer = x_branch_values(projected_bell(BellKind.PSI))
+    x = _x_elements(projected_bell(BellKind.PSI))
+    # each branch alone: the other's antidiagonal magnitude set to -inf
+    inner = signed_x_concurrence(*x._replace(rho23_abs=-math.inf)) / 2.0
+    outer = signed_x_concurrence(*x._replace(rho14_abs=-math.inf)) / 2.0
     assert inner == pytest.approx(0.5, abs=1e-15)
     assert outer == pytest.approx(-0.5, abs=1e-15)
 
@@ -142,6 +148,21 @@ def test_curve_grid_validation():
         concurrence_curve(params, BellKind.PSI, np.array([0.0, 0.0, 1.0]))
     with pytest.raises(ValueError):
         concurrence_curve(params, BellKind.PSI, np.array([-1.0, 0.0]))
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("grid", [1.0, [[0.0, 1.0], [2.0, 3.0]], [[0.0, 1.0, 2.0]]],
+                         ids=["scalar", "2x2", "1x3"])
+def test_curve_grid_must_be_one_dimensional(grid, method):
+    message = f"time grid must be one-dimensional, got shape {np.shape(grid)}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        concurrence_curve(VParams(), BellKind.PSI, grid, method)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_curve_grid_repeating_infinity_is_not_increasing(method):
+    with pytest.raises(ValueError, match="strictly increasing"):
+        concurrence_curve(VParams(), BellKind.PSI, [0.0, math.inf, math.inf], method)
 
 
 def test_curve_published_mode_matches_oracle_at_unit_eta():
@@ -267,6 +288,19 @@ def test_a_rotating_survivor_leaves_the_bell_limit_defined(case, kind):
         assert abs(result.concurrence_limit - limits[kind]) <= 1e-12
     else:
         assert result == EsdResult("asymptotic_zero")
+
+
+@pytest.mark.parametrize("kind", list(BellKind))
+@pytest.mark.parametrize("case", list(ROTATING_SURVIVORS))
+def test_a_rotating_survivor_has_every_reader_answer_at_t_infinity(case, kind):
+    params, _ = ROTATING_SURVIVORS[case]
+    assert esd_time(params, bell_state(kind)) == esd_time(params, kind)
+    assert esd_time(params, product_state(0, 0)) == EsdResult("vanishes_at", gamma_t_death=0.0)
+    # the published forms take a common frequency only
+    methods = METHODS if params.omega1 == params.omega2 else ("oracle",)
+    for method in methods:
+        curve = concurrence_curve(params, kind, [0.0, 40.0, math.inf], method)
+        assert abs(curve.concurrence[-1] - steady_concurrence(params, kind)) <= 1e-12, method
 
 
 # eta at which the long-time concurrence is one half: phi's from

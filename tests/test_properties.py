@@ -14,6 +14,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from vicsim.bipartite import (
+    QUBIT_BLOCK,
     BellKind,
     bell_state,
     bell_x_elements,
@@ -23,7 +24,7 @@ from vicsim.bipartite import (
     qubit_block,
 )
 from vicsim.entanglement import (
-    CURVE_COLUMNS, concurrence_curve, concurrence_x, esd_time, x_branch_values,
+    CURVE_COLUMNS, ESD_THRESHOLD, concurrence_curve, concurrence_x, esd_time, steady_concurrence,
 )
 from vicsim.oracles import concurrence_wootters, propagate_spectral
 from vicsim.vsystem import (
@@ -42,7 +43,7 @@ from vicsim.vsystem import (
     steady_no_jump,
     steady_state,
 )
-from util import einsum_pair_map, random_density
+from util import einsum_pair_map, random_density, random_x_state
 
 PROFILE = settings(derandomize=True, database=None, deadline=None, max_examples=200)
 SHORT_PROFILE = settings(PROFILE, max_examples=100)  # the draws that build a curve or an oracle
@@ -110,10 +111,9 @@ def _assert_reader_is_the_block(x, block):
     rest = block - np.diag(block.diagonal())
     rest[0, 3] = rest[3, 0] = rest[1, 2] = rest[2, 1] = 0.0
     assert np.max(np.abs(rest)) <= 1e-13
-    # the signed concurrence is the X reader's on the normalised block
+    # where positive, the signed concurrence is the general (Wootters) one
     rho = block / np.trace(block).real
-    inner, outer = x_branch_values(rho)
-    assert abs(x.signed_concurrence[0] - 2.0 * max(inner, outer)) <= 1e-13
+    assert abs(max(0.0, x.signed_concurrence[0]) - concurrence_wootters(rho)) <= 1e-10
 
 
 def _reference_curve(params, kind, grid):
@@ -266,6 +266,23 @@ def _steady_starts(rng):
     return [random_density(rng, 3)] + [pure_state(ket) for ket in kets]
 
 
+def _rotating(params):
+    """Whether a decay-free excited direction keeps rotating: Gamma is
+    singular, its kernel (eta, -1) is an eigenvector of diag(omega1,
+    omega2), and that direction's frequency is not 0."""
+    if params.eta * (1.0 - params.p) != 0.0:
+        return False
+    if params.eta == 0.0:
+        return params.omega2 != 0.0
+    return params.omega1 == params.omega2 != 0.0
+
+
+def _ground_coherent(params, rho0):
+    """Whether rho0 carries coherence between the kernel (eta, -1) of Gamma
+    and the ground level."""
+    return np.array([params.eta, -1.0]) @ rho0[:2, GROUND] != 0.0
+
+
 @PROFILE
 @given(params=_PARAMS, seed=_SEED)
 @example(params=VParams(eta=0.0, p=0.3, omega2=1.5), seed=0)  # the umbrella level keeps rotating
@@ -275,13 +292,75 @@ def _steady_starts(rng):
 @example(params=VParams(eta=1e100, p=1.0), seed=4)
 def test_steady_state_is_the_steady_channel(params, seed):
     for rho0 in _steady_starts(np.random.default_rng(seed)):
-        try:
-            want = apply_channel(_channel_from_no_jump(steady_no_jump(params, rho0)), rho0)
-        except NoConvergence:
+        # a decay-free level that keeps rotating has no limit only where
+        # rho0 carries its coherence with the ground level
+        if _rotating(params) and _ground_coherent(params, rho0):
             with pytest.raises(NoConvergence):
                 steady_state(params, rho0)
             continue
+        want = apply_channel(_channel_from_no_jump(steady_no_jump(params.in_decay_free_frame())),
+                             rho0)
         assert np.max(np.abs(steady_state(params, rho0) - want)) <= 1e-15
+
+
+def _raises(call, *args):
+    """Whether ``call(*args)`` raises NoConvergence."""
+    try:
+        call(*args)
+    except NoConvergence:
+        return True
+    return False
+
+
+@SHORT_PROFILE
+@given(params=_PARAMS, kind=st.sampled_from(list(BellKind)))
+@example(params=VParams(eta=0.0, omega1=0.5, omega2=-0.5), kind=BellKind.PSI)
+@example(params=VParams(eta=1.0, p=1.0, omega1=0.7, omega2=0.7), kind=BellKind.PHI)
+@example(params=VParams(gamma=2.0, eta=0.7, p=1.0, omega1=0.4, omega2=0.4), kind=BellKind.PSI)
+@example(params=VParams(eta=0.0, p=0.3, omega2=1.5), kind=BellKind.PHI)
+def test_every_concurrence_reader_answers_at_t_infinity(params, kind):
+    # the lab-frame propagators and steady_state refuse a rotating decay-free
+    # level as before: steady_state only for a start with ground coherence
+    rotating = _rotating(params)
+    assert _raises(steady_no_jump, params) == rotating
+    assert _raises(propagate_channel, params, math.inf) == rotating
+    for rho0 in _steady_starts(np.random.default_rng(0)):
+        assert _raises(steady_state, params, rho0) == (rotating and _ground_coherent(params, rho0))
+    # the concurrence readers take t = infinity in the decay-free frame
+    limit = steady_concurrence(params, kind)
+    curve = concurrence_curve(params, kind, [0.0, 1.0, math.inf])
+    assert abs(curve.concurrence[-1] - limit) <= 1e-12
+    if params.p == 1.0 and params.omega1 == params.omega2:
+        paper = concurrence_curve(params, kind, [0.0, math.inf], "paper").concurrence
+        assert 0.0 <= paper[-1] <= 1.0
+    assert esd_time(params, kind).kind != "vanishes_at"
+    if limit > 10.0 * ESD_THRESHOLD:  # an explicit start answers from its limit alone
+        result = esd_time(params, bell_state(kind))
+        assert result.kind == "asymptotic_positive"
+        assert abs(result.concurrence_limit - limit) <= 1e-12
+
+
+def _evolved_concurrence(params, rho0, t):
+    """Concurrence of the pair evolved from rho0 through the 9x9 route."""
+    return concurrence_x(project_to_qubits(evolve_pair(params, params, rho0, t)).rho)
+
+
+@PROFILE
+@given(eta=st.floats(0.0, 5.0), p=_P, omega=_OMEGA, t=_TIME, seed=_SEED)
+def test_no_x_start_keeps_more_concurrence_than_phi(eta, p, omega, t, seed):
+    # identical atoms at omega1 = omega2 (gamma = 1, so t is gamma*t); phi's
+    # concurrence is s/(s + l), s = |U11|^2 and l = 1 - |U11|^2 - |U21|^2
+    params = VParams(eta=eta, p=p, omega1=omega, omega2=omega)
+    u = no_jump_propagators(params, [t])[0]
+    s = abs(u[0, 0]) ** 2
+    lost = 1.0 - s - abs(u[1, 0]) ** 2
+    phi = _evolved_concurrence(params, bell_state(BellKind.PHI), t)
+    assert abs(phi - s / (s + lost)) <= 1e-12
+    rng = np.random.default_rng(seed)
+    for _ in range(20):
+        rho0 = np.zeros((9, 9), dtype=complex)
+        rho0[np.ix_(QUBIT_BLOCK, QUBIT_BLOCK)] = random_x_state(rng)
+        assert _evolved_concurrence(params, rho0, t) <= phi + 1e-12
 
 
 def _decay_rates(params):
