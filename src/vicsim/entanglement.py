@@ -199,6 +199,8 @@ def esd_time(params: VParams, start: BellKind | str | np.ndarray, *,
     bell_start = isinstance(start, str)  # a BellKind is a str
     if bell_start:
         kind = BellKind(start)
+    elif np.shape(start) != (9, 9):
+        raise ValueError(f"an explicit start must be a 9x9 pair state, got shape {np.shape(start)}")
     elif method == "paper":
         raise ValueError("published forms cover only the Bell starts: "
                          "an explicit start supports the oracle method only")

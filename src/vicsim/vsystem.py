@@ -21,7 +21,7 @@ omega2) - i Gamma with the damping matrix Gamma = [[gamma_1, gamma_12],
 [gamma_12, gamma_2]]. U is one formula, the same with and without
 detuning: both decay rates and the eigenprojectors of H_eff are formed
 from sums of non-negative terms, so no rate is lost to cancellation
-however far apart the two rates are (see _no_jump_propagator). Its
+however far apart the two rates are (see _no_jump_modes). Its
 t -> infinity limit is the steady state: every propagator takes
 t = math.inf and returns that limit (steady_no_jump), or raises
 NoConvergence where none exists. Every rate and frequency scales with
@@ -198,19 +198,22 @@ def _phase_overflow(phase: str, t: float) -> ValueError:
     return ValueError(f"the {phase} of the no-jump propagator overflows a float at t = {t!r}")
 
 
-def _no_jump_propagator(params: VParams, t: float) -> np.ndarray:
-    """U(t) = exp(-i H_eff t) = exp(-A t) on the excited levels, A = Gamma + i diag(omega).
+def _no_jump_modes(params: VParams) -> tuple:
+    """The parameter-only part of U(t) = exp(-i H_eff t) = exp(-A t) on the
+    excited levels, A = Gamma + i diag(omega): (mean_w, m, s, gs, d, r,
+    fast, slow, plus, minus, turn), read by both evaluations of U.
 
-    One formula for every (eta, p, omega). Gamma = [[gamma_1, gamma_12],
-    [gamma_12, gamma_2]] is the damping matrix of the excited block. The
-    mean frequency is a common phase; the rest of A is m + [[d, gamma_12],
-    [gamma_12, -d]] with m = (gamma_1 + gamma_2)/2 and d = (gamma_1 -
-    gamma_2)/2 + i w, w = (omega1 - omega2)/2. Its eigenvalues are m +- r,
-    r = sqrt(d^2 + gamma_12^2) with Re r >= 0, so
+    Gamma = [[gamma_1, gamma_12], [gamma_12, gamma_2]] is the damping matrix
+    of the excited block. The mean frequency mean_w is a common phase; the
+    rest of A is m + [[d, gamma_12], [gamma_12, -d]] with m = (gamma_1 +
+    gamma_2)/2 and d = (gamma_1 - gamma_2)/2 + i w, w = (omega1 - omega2)/2.
+    Its eigenvalues are m +- r, r = sqrt(d^2 + gamma_12^2) with Re r >= 0, so
 
         U = exp(-(m + r) t) P_fast + exp(-(m - r) t) P_slow,
-        P_fast, P_slow = [[r +- d, +-gamma_12], [+-gamma_12, r -+ d]] / (2 r).
+        P_fast, P_slow = [[r +- d, +-gamma_12], [+-gamma_12, r -+ d]] / (2 r),
 
+    the fast and slow modes decaying at ``fast`` and ``slow`` and turning at
+    mean_w +- ``turn``, turn = s Im r, with ``plus``, ``minus`` = r + d, r - d.
     No entry is a difference of nearly equal numbers:
     - the fast rate m + Re r is a sum of non-negative terms;
     - the slow rate is m - Re r = (m^2 - Re(r)^2) / (m + Re r), with
@@ -218,16 +221,13 @@ def _no_jump_propagator(params: VParams, t: float) -> np.ndarray:
       det Gamma + w^2 + |r|^2) and det Gamma = gamma_1 gamma_2 (1 - p)(1 + p),
       all terms non-negative; for omega1 == omega2 it is det Gamma / fast,
       so p just below 1 and a tiny eta keep their small rates;
-    - of r + d and r - d the smaller is gamma_12^2 over the larger;
-    - near the exceptional point, |r t| < _SERIES_BELOW, the power series in
-      (r t)^2 replaces the projectors.
+    - of r + d and r - d the smaller is gamma_12^2 over the larger.
     Rates and projectors are formed in units of s = max(m, |w|), or of
-    gamma_1 where both round to 0, so no square over- or underflows.
-    At t = infinity it is the limit, ``steady_no_jump(params)``.
+    gamma_1 where both round to 0, so no square over- or underflows; d, r
+    and gs = gamma_12 / s are in these units, m, the rates and turn are not.
+    Both r +- d vanish only at r = d = 0 and are returned as 0 there: every
+    time is then in the series band, which reads neither.
     """
-    t = float(t)  # a numpy t would make every product below warn where it overflows
-    if t == math.inf:
-        return steady_no_jump(params)
     g1, g2, g12, p = params.gamma1, params.gamma2, params.gamma12, params.p
     mean_w = 0.5 * params.omega1 + 0.5 * params.omega2
     half_dw = 0.5 * params.omega1 - 0.5 * params.omega2
@@ -237,6 +237,33 @@ def _no_jump_propagator(params: VParams, t: float) -> np.ndarray:
     d = complex(0.5 * (g1 - g2) / s, ws)
     r2 = d * d + gs * gs
     r = cmath.sqrt(r2)
+    fast = m + s * r.real
+    one_minus_p2 = (1.0 - p) * (1.0 + p)
+    det = (g1 / s) * (g2 / s) * one_minus_p2
+    # fast rounds to 0 only where every rate underflows; slow <= fast is then 0
+    slow = g2 * (g1 / fast) * 2.0 * (one_minus_p2 * ms * ms + ws * ws) / (
+        ms * ms + det + ws * ws + abs(r2)) if fast else 0.0
+    plus, minus = r + d, r - d
+    if abs(plus) < abs(minus):
+        plus = gs * gs / minus
+    elif plus:
+        minus = gs * gs / plus
+    return mean_w, m, s, gs, d, r, fast, slow, plus, minus, s * r.imag
+
+
+def _no_jump_propagator(params: VParams, t: float) -> np.ndarray:
+    """U(t) = exp(-i H_eff t) at one time t, in cmath: one formula for every
+    (eta, p, omega), the modes of ``_no_jump_modes``.
+
+    Near the exceptional point, |r t| < _SERIES_BELOW, the power series in
+    (r t)^2 replaces the projectors. At t = infinity it is the limit,
+    ``steady_no_jump(params)``. ``no_jump_propagators`` evaluates the same
+    operations over a grid of times in numpy.
+    """
+    t = float(t)  # a numpy t would make every product below warn where it overflows
+    if t == math.inf:
+        return steady_no_jump(params)
+    mean_w, m, s, gs, d, r, fast, slow, plus, minus, turn = _no_jump_modes(params)
     rt = r * s * t
     if abs(rt) < _SERIES_BELOW:
         q = rt * rt
@@ -250,17 +277,7 @@ def _no_jump_propagator(params: VParams, t: float) -> np.ndarray:
         sinhc = scale * t * s * (1 + q / 6 * (1 + q / 20 * (1 + q / 42 * (1 + q / 72))))
         off = -sinhc * gs
         return np.array([[cosh - sinhc * d, off], [off, cosh + sinhc * d]])
-    fast = m + s * r.real
-    one_minus_p2 = (1.0 - p) * (1.0 + p)
-    det = (g1 / s) * (g2 / s) * one_minus_p2
-    slow = g2 * (g1 / fast) * 2.0 * (one_minus_p2 * ms * ms + ws * ws) / (
-        ms * ms + det + ws * ws + abs(r2))
-    plus, minus = r + d, r - d
-    if abs(plus) >= abs(minus):
-        minus = gs * gs / plus
-    else:
-        plus = gs * gs / minus
-    turn, half_over_r = s * r.imag, 0.5 / r
+    half_over_r = 0.5 / r
     try:
         xf = cmath.exp(complex(-fast * t, -(mean_w + turn) * t)) * half_over_r
         xs = cmath.exp(complex(-slow * t, -(mean_w - turn) * t)) * half_over_r
@@ -270,6 +287,56 @@ def _no_jump_propagator(params: VParams, t: float) -> np.ndarray:
         raise _phase_overflow("slow mode's phase (mean frequency - splitting) * t", t) from None
     off = gs * (xf - xs)
     return np.array([[xf * plus + xs * minus, off], [off, xf * minus + xs * plus]])
+
+
+def _exp_grid(re: np.ndarray, im: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """exp(re + i im) elementwise, as cmath.exp forms it, and where cmath.exp
+    would raise: an infinite phase im whose decay exp(re) is not 0. Where
+    exp(re) is 0 that phase is read as 0, and the value is 0 as in cmath."""
+    overflow = np.isinf(im)
+    failed = overflow & (re > -math.inf)
+    return np.exp(re + 1j * np.where(overflow, 0.0, im)), failed
+
+
+def _no_jump_grid(params: VParams, times: np.ndarray) -> np.ndarray:
+    """``_no_jump_propagator`` at each of the non-negative ``times``, in one
+    numpy pass: its series band and closed form in the same operations,
+    each on the times it covers. Where the per-time form raises, the first
+    such time in grid order is handed to it, so the error is the same."""
+    mean_w, m, s, gs, d, r, fast, slow, plus, minus, turn = _no_jump_modes(params)
+    infinite = times == math.inf
+    t = np.where(infinite, 0.0, times)  # an infinite time is read from steady_no_jump
+    u = np.empty((t.size, 2, 2), dtype=complex)
+    failed = np.zeros(t.size, dtype=bool)
+    with np.errstate(over="ignore"):  # a product that overflows is inf, as in cmath
+        rt = r * s * t
+        band = np.abs(rt) < _SERIES_BELOW
+        ts, rts = t[band], rt[band]
+        q = rts * rts
+        scale, failed[band] = _exp_grid(-m * ts, -mean_w * ts)
+        cosh = scale * (1 + q / 2 * (1 + q / 12 * (1 + q / 30 * (1 + q / 56))))
+        sinhc = scale * ts * s * (1 + q / 6 * (1 + q / 20 * (1 + q / 42 * (1 + q / 72))))
+        off = -sinhc * gs
+        u[band] = np.moveaxis(np.array([[cosh - sinhc * d, off], [off, cosh + sinhc * d]]), -1, 0)
+        if not band.all():  # r != 0 here
+            closed = ~band
+            tc = t[closed]
+            half_over_r = 0.5 / r
+            xf, fast_failed = _exp_grid(-fast * tc, -(mean_w + turn) * tc)
+            xs, slow_failed = _exp_grid(-slow * tc, -(mean_w - turn) * tc)
+            xf, xs = xf * half_over_r, xs * half_over_r
+            failed[closed] = fast_failed | slow_failed
+            off = gs * (xf - xs)
+            u[closed] = np.moveaxis(
+                np.array([[xf * plus + xs * minus, off], [off, xf * minus + xs * plus]]), -1, 0)
+    if infinite.any():
+        try:
+            u[infinite] = steady_no_jump(params)
+        except NoConvergence:
+            failed |= infinite
+    if failed.any():
+        _no_jump_propagator(params, times[failed.argmax()])  # raises there
+    return u
 
 
 def _check_time(t: float) -> None:
@@ -285,13 +352,20 @@ def propagate_channel(params: VParams, t: float) -> np.ndarray:
 
 def no_jump_propagators(params: VParams, ts: np.ndarray) -> np.ndarray:
     """The 2x2 no-jump propagator U(t) at each of the T times ``ts``, stacked
-    as (T, 2, 2). One scalar closed form per time, so U is written once; a
-    time math.inf gives U(infinity), ``steady_no_jump(params)``."""
-    times = np.asarray(ts, dtype=float).reshape(-1).tolist()
-    for t in times:
-        _check_time(t)
-    stack = np.array([_no_jump_propagator(params, t) for t in times], dtype=complex)
-    return stack.reshape(-1, 2, 2)
+    as (T, 2, 2); a time math.inf gives U(infinity), ``steady_no_jump(params)``.
+
+    A grid is evaluated in one numpy pass (``_no_jump_grid``), a single time
+    by the cmath form ``_no_jump_propagator``, which costs about a twentieth
+    of the numpy pass there; both read the modes of ``_no_jump_modes``.
+    """
+    times = np.asarray(ts, dtype=float).reshape(-1)
+    if times.size == 1:
+        _check_time(times[0])
+        return _no_jump_propagator(params, times[0])[None]
+    invalid = ~(times >= 0.0)
+    if invalid.any():
+        _check_time(float(times[invalid.argmax()]))
+    return _no_jump_grid(params, times)
 
 
 def hermitize(m: np.ndarray) -> np.ndarray:

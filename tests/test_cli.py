@@ -355,16 +355,16 @@ def test_compare_half_eta_only_coherence_element_matches(capsys):
 
 def test_compare_reads_one_propagator_per_time(capsys, monkeypatch):
     calls = []
-    no_jump = vicsim.vsystem._no_jump_propagator
+    grid = vicsim.vsystem._no_jump_grid
 
-    def counted(params, t):
-        calls.append(t)
-        return no_jump(params, t)
+    def counted(params, times):
+        calls.extend(times.tolist())
+        return grid(params, times)
 
     def refused(*args, **kwargs):
         raise AssertionError("compare built a 9x9 channel or a pair state")
 
-    monkeypatch.setattr(vicsim.vsystem, "_no_jump_propagator", counted)
+    monkeypatch.setattr(vicsim.vsystem, "_no_jump_grid", counted)
     # every 9x9 channel is assembled by _channel_from_no_jump
     for module, name in ((vicsim.vsystem, "_channel_from_no_jump"),
                          (vicsim.cli, "propagate_channel"),
@@ -373,6 +373,23 @@ def test_compare_reads_one_propagator_per_time(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "compare", "--eta", "0.5", "--steps", "17")
     assert code == 0, err
     assert len(calls) == len(set(calls)) == 17
+
+
+@pytest.mark.parametrize("argv", [
+    ("curve", "--method", "oracle", "--p", "0.5", "--steps", "40"),
+    ("single", "--p", "0.5", "--steps", "40"),
+    ("esd", "--initial", "product"),
+])
+def test_the_per_sample_routes_never_evaluate_a_grid_of_u(capsys, monkeypatch, argv):
+    # These routes read one U per time. The grid pass costs about twenty
+    # per-time evaluations at one time, and their jobs must keep their cost
+    # until they move onto stacks of U (ROADMAP item 2, which deletes this test).
+    def refused(*args, **kwargs):
+        raise AssertionError("a per-sample route evaluated U over a grid")
+
+    monkeypatch.setattr(vicsim.vsystem, "_no_jump_grid", refused)
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 0, err
 
 
 def test_compare_at_an_eta_whose_square_nearly_overflows(capsys):

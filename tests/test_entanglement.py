@@ -395,6 +395,14 @@ def test_esd_published_mode_rejects_explicit_start():
         esd_time(VParams(), product_state(0, 0), method="paper")
 
 
+@pytest.mark.parametrize("shape", [(4, 4), (3, 3)])
+def test_esd_rejects_an_explicit_start_that_is_not_a_pair_state(shape):
+    # a 4x4 qubit block is the likeliest mistake; the pair map takes only 9x9
+    with pytest.raises(ValueError, match=rf"^an explicit start must be a 9x9 pair state, "
+                                         rf"got shape \({shape[0]}, {shape[1]}\)$"):
+        esd_time(VParams(), np.eye(shape[0]) / shape[0])
+
+
 def _evolved_paper_point(params, kind, gamma_t):
     """The published elements at gamma_t, normalised by the trace of the evolved
     pair, with the evolved rho22 and rho33 where the forms print none."""

@@ -6,6 +6,7 @@ derandomized and bounded, so every run checks the same examples. The
 runtime is checked against the oracles of vicsim.oracles here too.
 """
 
+import itertools
 import math
 from decimal import Decimal, localcontext
 
@@ -34,6 +35,7 @@ from vicsim.vsystem import (
     NoConvergence,
     VParams,
     _channel_from_no_jump,
+    _no_jump_propagator,
     apply_channel,
     basis_ket,
     no_jump_propagators,
@@ -199,6 +201,50 @@ def _outcome(call, *args, **kwargs):
         return call(*args, **kwargs)
     except ValueError as exc:
         return repr(exc)
+
+
+# The grid evaluation of U (no_jump_propagators over two or more times)
+# against the per-time one: every entry, |U_ij| <= 1, within GRID_ATOL, and
+# the same error where either raises.
+GRID_ATOL = 4.0 * 2.0**-52
+_GRID_TIMES = st.lists(st.one_of(_TIME, st.floats(0.0, 0.1),
+                                 st.sampled_from([0.0, 1e-300, 1e300, math.inf])),
+                       min_size=2, max_size=8)
+
+
+def _assert_grid_is_per_time(params, times):
+    grid = _outcome(no_jump_propagators, params, times)
+    per_time = _outcome(lambda: np.array([_no_jump_propagator(params, t) for t in times]))
+    if isinstance(per_time, str):
+        assert grid == per_time
+    else:
+        assert not isinstance(grid, str), grid
+        np.testing.assert_allclose(grid, per_time, rtol=0.0, atol=GRID_ATOL)
+
+
+@PROFILE
+@given(params=_PARAMS, times=_GRID_TIMES)
+@example(params=VParams(eta=1.0, p=0.0), times=[0.0, 1.0, 50.0, math.inf])  # r = 0
+@example(params=VParams(eta=1.0, p=0.5, omega1=0.5, omega2=-0.5), times=[0.3, 2.0, 1e300])
+@example(params=VParams(eta=0.0, p=0.3, omega2=1.5), times=[1.0, math.inf])  # no limit
+@example(params=VParams(eta=0.5, p=0.3, omega1=1e300, omega2=-1e300), times=[0.0, 1e10])
+def test_the_grid_and_per_time_forms_of_u_agree(params, times):
+    _assert_grid_is_per_time(params, times)
+
+
+GRID_ETAS = (0.0, 1e-300, 1e-9, 1.0, 1e3, 1e154)
+GRID_PS = (0.0, 1.0 - 2.0**-53, 1.0 - 1e-9, 1.0)
+GRID_OMEGAS = ((0.0, 0.0), (0.3, -0.2), (10.0, -10.0), (0.0, 10.0), (-3.0, -3.0))
+# the series band |r t| < 0.1 and beyond it, the extremes and the limit
+GRID_LATTICE_TIMES = [0.0, 1e-300, 1e-3, 0.05, 0.099, 0.1, 0.5, 3.0, 20.0, 1e300, math.inf]
+
+
+def test_the_grid_and_per_time_forms_of_u_agree_on_a_lattice():
+    for eta, p, (omega1, omega2) in itertools.product(GRID_ETAS, GRID_PS, GRID_OMEGAS):
+        params = VParams(eta=eta, p=p, omega1=omega1, omega2=omega2)
+        _assert_grid_is_per_time(params, GRID_LATTICE_TIMES)
+        # where the limit raises NoConvergence, the finite times alone
+        _assert_grid_is_per_time(params, GRID_LATTICE_TIMES[:-1])
 
 
 @settings(SHORT_PROFILE, max_examples=40)  # a product start scans 1001 evolved samples

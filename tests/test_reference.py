@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import mpmath
 
-from vicsim.vsystem import VParams, _no_jump_propagator, steady_no_jump
+from vicsim.vsystem import VParams, _no_jump_propagator, no_jump_propagators, steady_no_jump
 
 EPS = 2.0**-52
 BOUND = 8.0  # in units of EPS (1 + ||A||_F t)
@@ -58,6 +58,25 @@ def test_no_jump_propagator_within_ulps_of_the_reference():
     for _ in range(DRAWS):
         params, t = _draw(rng)
         u = _no_jump_propagator(params, t)
+        reference, norm = _reference(params, t)
+        ulps = EPS * (1.0 + norm * t)
+        for i in range(2):
+            for j in range(2):
+                want = complex(reference[i, j])
+                if abs(want) > SMALLEST:
+                    error = abs(u[i, j] - want) / abs(want) / ulps
+                    if error > BOUND:
+                        over.append((params, t, (i, j), error))
+    assert over == []
+
+
+def test_no_jump_grid_within_ulps_of_the_reference():
+    # the same draws and bound, each read as the last time of a grid
+    rng = random.Random(20261019)
+    over = []
+    for _ in range(DRAWS):
+        params, t = _draw(rng)
+        u = no_jump_propagators(params, [0.0, t / 2.0, t])[2]
         reference, norm = _reference(params, t)
         ulps = EPS * (1.0 + norm * t)
         for i in range(2):

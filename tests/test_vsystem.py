@@ -245,6 +245,29 @@ def test_overflowing_phase_is_named(params, t):
         propagate_channel(params, t)
 
 
+def test_overflowing_phase_is_named_on_a_grid():
+    # the grid evaluation raises the per-time form's error at the first such time
+    params = VParams(eta=0.5, p=0.3, omega1=1e300, omega2=-1e300)
+    with pytest.raises(ValueError, match=r"^the fast mode's phase \(mean frequency \+ splitting\) "
+                                         r"\* t of the no-jump propagator overflows a float "
+                                         r"at t = 10000000000\.0$"):
+        no_jump_propagators(params, [0.0, 1e10, 1e12])
+
+
+def test_an_empty_grid_gives_an_empty_stack():
+    assert no_jump_propagators(VParams(eta=0.7, p=0.5), []).shape == (0, 2, 2)
+
+
+def test_every_rate_underflowing_leaves_only_the_rotation():
+    # at a subnormal gamma and eta = 0.1 the mean and fast rates round to 0
+    # beside a detuning; the slow rate, formed over the fast one, is 0 too
+    params = VParams(gamma=5e-324, eta=0.1, p=0.5, omega1=1.0, omega2=-1.0)
+    times = np.array([0.5, 2.0])
+    rotation = np.array([np.diag([np.exp(-1j * t), np.exp(1j * t)]) for t in times])
+    assert max_abs(no_jump_propagators(params, times) - rotation) <= 1e-15
+    assert max_abs(_no_jump_propagator(params, 2.0) - rotation[1]) <= 1e-15
+
+
 @pytest.mark.parametrize("t", [-1.0, math.nan])
 def test_a_negative_or_nan_time_is_rejected(t):
     params = VParams(eta=0.7, p=0.5)
